@@ -12,6 +12,17 @@ cargo fmt --all -- --check
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
+echo "==> e2ebench build + smoke run (the benchmark compiles against the crates)"
+# e2ebench/ is a package of its own, outside the workspace, so the build
+# above never compiles it; a library API change could break the benchmark
+# unnoticed. One short scrub run must end in a correct result line.
+cargo build --release --offline --manifest-path e2ebench/Cargo.toml
+E2E_LINE=$(cargo run --quiet --release --offline --manifest-path e2ebench/Cargo.toml -- \
+    --workload scrub_lifetime_lenet --seed 1 --seconds 1 --trace 0 | tail -n 1)
+echo "$E2E_LINE" | grep -q '"correct": true'
+echo "$E2E_LINE" | grep -q '"failed": 0'
+echo "    e2ebench scrub_lifetime_lenet smoke: correct, 0 failed"
+
 echo "==> cargo test --workspace ${CI_FEATURES:-}"
 # shellcheck disable=SC2086  # CI_FEATURES is intentionally word-split
 cargo test -q --workspace ${CI_FEATURES:-}

@@ -2,9 +2,10 @@ use xbar_device::{DeviceConfig, FaultMap, ProgrammingReport};
 use xbar_tensor::rng::XorShiftRng;
 use xbar_tensor::{backend, linalg, Tensor};
 
-use crate::{decompose, remap_for_faults, Mapping, MappingError, PeripheryMatrix, RemapReport};
+use crate::{remap_for_faults, Mapping, MappingError, PeripheryMatrix, RemapReport, TileGrid};
 
-/// A behavioural simulator of one crossbar array plus its periphery.
+/// A behavioural simulator of one programmed crossbar layer plus its
+/// periphery, laid out on the grid of physical tiles its device allows.
 ///
 /// The array stores a non-negative conductance matrix `M` of shape
 /// `(N_D, N_I)` — `N_I` rows driven by input voltages, `N_D` columns of
@@ -14,15 +15,26 @@ use crate::{decompose, remap_for_faults, Mapping, MappingError, PeripheryMatrix,
 /// paper's inference-under-variation methodology (Sec. IV-B): *train,
 /// program with noise, evaluate without fine-tuning*.
 ///
+/// The layout is the [`TileGrid`] of the device's
+/// [`DeviceConfig::tile_shape`]. With no tile bound the grid is the
+/// degenerate 1×1 case — one array, the classic `N_D = N_O + 1`
+/// accounting. With one, outputs split into column groups that each carry
+/// their own local stencil (and, for BC/ACM, their own reference column),
+/// the periphery is block-diagonal over the groups, and every tile is
+/// dealt its own stuck-at defects, programmed through its own write-verify
+/// pass and remapped against its own stencil — as separate chips would
+/// be. The stored tensors stack the groups' device columns.
+///
 /// An MVM is evaluated in two stages, exactly as in hardware:
-/// 1. the analog stage — raw column dot products `y_dev = M·x`;
+/// 1. the analog stage — raw column dot products `y_dev = M·x`, per tile,
+///    with partial sums added digitally across row blocks;
 /// 2. the digital periphery — the fixed signed combine `y = S·y_dev`.
 ///
 /// The analog stage reads the *effective* conductances: the programmed
 /// values composed with the device's parasitic read non-idealities
 /// (conductance drift at the configured time index, then the
-/// position-dependent line-resistance attenuation, the whole array acting
-/// as one tile). With both parasitic models off the effective matrix is
+/// position-dependent line-resistance attenuation, restarting at every
+/// tile boundary). With both parasitic models off the effective matrix is
 /// the programmed matrix, bitwise.
 ///
 /// # Example
@@ -46,20 +58,23 @@ use crate::{decompose, remap_for_faults, Mapping, MappingError, PeripheryMatrix,
 /// ```
 #[derive(Debug, Clone)]
 pub struct CrossbarArray {
-    mapping: Mapping,
+    grid: TileGrid,
+    /// Block-diagonal over the per-group stencils (with each group's
+    /// physical row order folded in for [`Mapping::Perm`]).
     periphery: PeripheryMatrix,
     device: DeviceConfig,
-    /// Ideal (post-quantization, pre-variation) conductance targets.
+    /// Ideal (post-quantization, post-remap, pre-variation) conductance
+    /// targets, stacked `(n_dev, n_in)`.
     targets: Tensor,
-    /// Realised conductances after variation sampling.
+    /// Realised conductances after per-tile programming.
     programmed: Tensor,
     /// What the read path sees: `programmed` composed with drift and
-    /// line-resistance attenuation (equal to `programmed` when both are
-    /// off).
+    /// per-tile line-resistance attenuation (equal to `programmed` when
+    /// both are off).
     effective: Tensor,
-    /// The stuck-at defect pattern this physical array was dealt.
+    /// The stuck-at defects every tile was dealt, in the stacked frame.
     faults: FaultMap,
-    /// Outcome of the most recent programming pass.
+    /// Merged outcome of the most recent per-tile programming passes.
     report: ProgrammingReport,
 }
 
@@ -91,8 +106,8 @@ pub fn magnitude_permutation(m: &Tensor, mid: f32) -> Vec<usize> {
 
 /// Copies the rows of `M` into physical order: row `p` of the result is
 /// logical row `perm[p]` of `m`.
-pub(crate) fn permute_rows(m: &Tensor, perm: &[usize]) -> Tensor {
-    let (_, n_in) = (m.shape()[0], m.shape()[1]);
+pub fn permute_rows(m: &Tensor, perm: &[usize]) -> Tensor {
+    let n_in = m.shape()[1];
     let mut out = Tensor::zeros(&[perm.len(), n_in]);
     for (p, &logical) in perm.iter().enumerate() {
         out.data_mut()[p * n_in..(p + 1) * n_in]
@@ -101,52 +116,32 @@ pub(crate) fn permute_rows(m: &Tensor, perm: &[usize]) -> Tensor {
     out
 }
 
-/// Composes the parasitic read non-idealities onto a programmed
-/// conductance matrix: drift first (cell state decays; stuck cells are
-/// physically frozen and do not drift), then line-resistance attenuation
-/// over the given tile-local block geometry handled by the caller. This
-/// monolithic variant treats the whole matrix as one tile. Returns a
-/// plain clone (bitwise identity) when both models are off.
-fn effective_monolithic(programmed: &Tensor, device: &DeviceConfig, faults: &FaultMap) -> Tensor {
-    let line = device.line_resistance();
-    let drift = device.drift();
-    let mut eff = programmed.clone();
-    if drift.is_active() {
-        let range = device.range();
-        let cols = eff.shape()[1];
-        for (idx, g) in eff.data_mut().iter_mut().enumerate() {
-            let (r, c) = (idx / cols, idx % cols);
-            if faults.get(r, c).is_none() {
-                *g = drift.decayed(*g, r, c, range);
-            }
-        }
-    }
-    line.apply_tile(&mut eff);
-    eff
-}
-
 impl CrossbarArray {
     /// Decomposes a signed weight matrix `W (N_O × N_I)` under `mapping`
-    /// and programs the resulting conductances through `device`.
+    /// — column group by column group on a tiled device — and programs
+    /// the resulting conductances through `device`, tile by tile.
     ///
     /// # Errors
     ///
     /// Returns an error if the decomposition fails (weights outside the
-    /// representable range — see [`decompose`]).
+    /// representable range — see [`crate::decompose`]) or the device's
+    /// tile is too narrow for `mapping`.
     pub fn program_signed(
         w: &Tensor,
         mapping: Mapping,
         device: DeviceConfig,
         rng: &mut XorShiftRng,
     ) -> Result<Self, MappingError> {
-        let m = decompose(w, mapping, device.range())?;
-        Self::program_conductances(&m, mapping, device, rng)
+        let grid = Self::grid_for(w, mapping, &device, false)?;
+        let m = grid.decompose(w, device.range())?;
+        Self::program_inner(&m, grid, device, false, rng).map(|(xbar, _)| xbar)
     }
 
-    /// Like [`CrossbarArray::program_signed`], but absorbs the sampled
-    /// stuck-at faults into the mapping's null-space slack before
-    /// programming (see [`remap_for_faults`]); the [`RemapReport`] carries
-    /// the residual weight error that could not be absorbed.
+    /// Like [`CrossbarArray::program_signed`], but absorbs each tile's
+    /// sampled stuck-at faults into its local periphery's null-space
+    /// slack before programming (see [`remap_for_faults`]); the
+    /// [`RemapReport`] merges the per-tile reports and carries the
+    /// residual weight error that could not be absorbed.
     ///
     /// # Errors
     ///
@@ -157,31 +152,37 @@ impl CrossbarArray {
         device: DeviceConfig,
         rng: &mut XorShiftRng,
     ) -> Result<(Self, RemapReport), MappingError> {
-        let m = decompose(w, mapping, device.range())?;
-        Self::program_conductances_remapped(&m, mapping, device, rng)
+        let grid = Self::grid_for(w, mapping, &device, false)?;
+        let m = grid.decompose(w, device.range())?;
+        Self::program_inner(&m, grid, device, true, rng)
+            .map(|(xbar, report)| (xbar, report.expect("remap requested")))
     }
 
-    /// Programs an explicit non-negative conductance matrix
+    /// Programs an explicit stacked non-negative conductance matrix
     /// `M (N_D × N_I)` — the path used after training, where the trainer
-    /// owns `M` directly.
+    /// owns `M` directly. The logical output count is inferred from the
+    /// row count, `mapping` and the device's tile bound.
     ///
     /// # Errors
     ///
     /// Returns an error if `M` is negative anywhere, exceeds the device
-    /// range, or its row count is invalid for `mapping`.
+    /// range, or its row count is invalid for `mapping` on the device's
+    /// tiles.
     pub fn program_conductances(
         m: &Tensor,
         mapping: Mapping,
         device: DeviceConfig,
         rng: &mut XorShiftRng,
     ) -> Result<Self, MappingError> {
-        Self::program_inner(m, mapping, device, false, rng).map(|(xbar, _)| xbar)
+        let grid = Self::grid_for(m, mapping, &device, true)?;
+        Self::program_inner(m, grid, device, false, rng).map(|(xbar, _)| xbar)
     }
 
-    /// Like [`CrossbarArray::program_conductances`], but fault-aware: after
-    /// sampling the stuck-at pattern, each faulty column is shifted along
-    /// the periphery's null direction so the stuck cells land on the
-    /// conductances they are frozen at anyway (see [`remap_for_faults`]).
+    /// Like [`CrossbarArray::program_conductances`], but fault-aware:
+    /// after sampling each tile's stuck-at pattern, each faulty column is
+    /// shifted along the local periphery's null direction so the stuck
+    /// cells land on the conductances they are frozen at anyway (see
+    /// [`remap_for_faults`]).
     ///
     /// # Errors
     ///
@@ -192,23 +193,40 @@ impl CrossbarArray {
         device: DeviceConfig,
         rng: &mut XorShiftRng,
     ) -> Result<(Self, RemapReport), MappingError> {
-        Self::program_inner(m, mapping, device, true, rng)
+        let grid = Self::grid_for(m, mapping, &device, true)?;
+        Self::program_inner(m, grid, device, true, rng)
             .map(|(xbar, report)| (xbar, report.expect("remap requested")))
+    }
+
+    /// The device's tile grid for a 2-D matrix: signed weights `W`, or
+    /// stacked conductances `M` when `stacked` is set.
+    fn grid_for(
+        t: &Tensor,
+        mapping: Mapping,
+        device: &DeviceConfig,
+        stacked: bool,
+    ) -> Result<TileGrid, MappingError> {
+        if t.ndim() != 2 {
+            return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
+                "program",
+                format!("expected a 2-D matrix, got {:?}", t.shape()),
+            )));
+        }
+        let (rows, n_in, tile) = (t.shape()[0], t.shape()[1], device.tile_shape());
+        if stacked {
+            TileGrid::for_conductances(rows, n_in, mapping, tile)
+        } else {
+            TileGrid::new(rows, n_in, mapping, tile)
+        }
     }
 
     fn program_inner(
         m: &Tensor,
-        mapping: Mapping,
+        grid: TileGrid,
         device: DeviceConfig,
         remap: bool,
         rng: &mut XorShiftRng,
     ) -> Result<(Self, Option<RemapReport>), MappingError> {
-        if m.ndim() != 2 {
-            return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
-                "program_conductances",
-                format!("expected 2-D conductance matrix, got {:?}", m.shape()),
-            )));
-        }
         if !m.data().iter().all(|v| v.is_finite()) {
             return Err(MappingError::NonFiniteInput {
                 op: "program_conductances",
@@ -217,7 +235,7 @@ impl CrossbarArray {
         let range = device.range();
         if m.min() < range.g_min() - 1e-6 || m.max() > range.g_max() + 1e-6 {
             return Err(MappingError::NotRepresentable {
-                mapping: mapping.tag(),
+                mapping: grid.mapping().tag(),
                 detail: format!(
                     "conductances [{}, {}] outside device range [{}, {}]",
                     m.min(),
@@ -227,74 +245,84 @@ impl CrossbarArray {
                 ),
             });
         }
-        let nd = m.shape()[0];
-        let n_out = match mapping {
-            Mapping::DoubleElement => {
-                if !nd.is_multiple_of(2) {
-                    return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
-                        "program_conductances",
-                        format!("DE needs an even device-column count, got {nd}"),
-                    )));
-                }
-                nd / 2
+        // Snap to the device's programmable states (non-uniform in
+        // conductance for nonlinear devices — states sit at equal pulse
+        // spacing along the transfer curve); every per-tile stage below
+        // starts from the snapped targets.
+        let mut snapped = m.map(|g| device.snap(g));
+        let mut peripheries: Vec<PeripheryMatrix> = grid
+            .col_groups()
+            .iter()
+            .map(|g| grid.mapping().periphery(g.out_len))
+            .collect();
+        // Perm: `m` arrives in logical (decompose) order. Each group
+        // derives its physical row order from the *pre-snap* conductances
+        // over the full input width (so every row block of the group
+        // agrees on one order) — large-magnitude rows nearest the drivers
+        // — folds the inverse into its local stencil so `S_p · (P·M) =
+        // S · M` exactly, and rearranges its snapped rows into physical
+        // order. The stable descending sort keeps the group's all-mid
+        // reference row last.
+        if grid.mapping() == Mapping::Perm {
+            for (g, periphery) in grid.col_groups().iter().zip(peripheries.iter_mut()) {
+                let perm = magnitude_permutation(&g.dev_rows(m), range.midpoint());
+                *periphery = periphery.permuted(&perm);
+                let physical = permute_rows(&g.dev_rows(&snapped), &perm);
+                g.write_dev_rows(&mut snapped, &physical);
             }
-            Mapping::BiasColumn | Mapping::Acm | Mapping::Perm => {
-                if nd < 2 {
-                    return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
-                        "program_conductances",
-                        format!("{mapping} needs at least two device columns, got {nd}"),
-                    )));
-                }
-                nd - 1
+        }
+        let (nd, n_in) = (grid.nd_total(), grid.n_in());
+        let mut targets = Tensor::zeros(&[nd, n_in]);
+        let mut programmed = Tensor::zeros(&[nd, n_in]);
+        let mut faults = FaultMap::pristine(nd, n_in);
+        let mut report = ProgrammingReport::default();
+        let mut remap_report: Option<RemapReport> = None;
+        // Each tile is an independent physical array: in grid order it
+        // draws its own defect pattern (no randomness under the default
+        // fault-free model), optionally absorbs it into its stencil's
+        // slack, and runs its own write-verify pass — variation per write,
+        // stuck cells frozen, unconverged cells reported rather than
+        // silently mis-written. The compensated targets stay analog:
+        // closed-loop programming can trim a cell to any in-range
+        // conductance, so re-snapping would quantize away sub-step
+        // compensations.
+        for tile in grid.tiles() {
+            let g = tile.group;
+            let mut tile_targets = tile.read(&snapped);
+            let tile_faults = device.faults().sample_map(g.dev_len, tile.row_len, rng);
+            if remap {
+                let (shifted, tile_remap) = remap_for_faults(
+                    &tile_targets,
+                    &peripheries[tile.group_index],
+                    &tile_faults,
+                    range,
+                )?;
+                tile_targets = shifted;
+                remap_report = Some(match remap_report {
+                    Some(acc) => acc.merge(&tile_remap),
+                    None => tile_remap,
+                });
             }
-        };
-        // Perm: `m` arrives in logical (decompose) order; the physical
-        // placement reorders device columns so large-magnitude rows sit
-        // nearest the drivers, and the inverse permutation is folded into
-        // the periphery so `S_p · (P·M) = S · M` exactly.
-        let (periphery, m_phys) = match mapping {
-            Mapping::Perm => {
-                let perm = magnitude_permutation(m, range.midpoint());
-                let periphery = mapping.periphery(n_out).permuted(&perm);
-                (periphery, Some(permute_rows(m, &perm)))
+            let (tile_programmed, tile_report) = device.programming().program_tensor(
+                &tile_targets,
+                &device.variation(),
+                range,
+                Some(&tile_faults),
+                rng,
+            );
+            tile.write(&mut targets, &tile_targets);
+            tile.write(&mut programmed, &tile_programmed);
+            for (row, col, kind) in tile_faults.iter_stuck() {
+                faults.set(g.dev_start + row, tile.row_start + col, kind);
             }
-            _ => (mapping.periphery(n_out), None),
-        };
-        let m = m_phys.as_ref().unwrap_or(m);
-        // Stage 1: snap to the device's programmable states (non-uniform
-        // in conductance for nonlinear devices — states sit at equal pulse
-        // spacing along the transfer curve).
-        let mut targets = m.map(|g| device.snap(g));
-        // Stage 2: deal this physical array its stuck-at defect pattern
-        // (consumes no randomness under the default fault-free model).
-        let faults = device.faults().sample_map(nd, m.shape()[1], rng);
-        // Stage 3 (optional): absorb the faults into the mapping's slack.
-        // The compensated targets stay analog — closed-loop programming can
-        // trim a cell to any in-range conductance; the state ladder only
-        // constrains training-time weight updates. Re-snapping here would
-        // quantize away sub-step compensations.
-        let remap_report = if remap {
-            let (shifted, report) = remap_for_faults(&targets, &periphery, &faults, range)?;
-            targets = shifted;
-            Some(report)
-        } else {
-            None
-        };
-        // Stage 4: write the targets through the programming scheme —
-        // variation per write, stuck cells frozen, unconverged cells
-        // reported rather than silently mis-written.
-        let (programmed, report) = device.programming().program_tensor(
-            &targets,
-            &device.variation(),
-            range,
-            Some(&faults),
-            rng,
-        );
-        let effective = effective_monolithic(&programmed, &device, &faults);
+            report.merge(tile_report, g.dev_start, tile.row_start);
+        }
+        let mut effective = programmed.clone();
+        grid.apply_parasitics(&mut effective, &device, &faults);
         Ok((
             Self {
-                mapping,
-                periphery,
+                periphery: PeripheryMatrix::block_diagonal(&peripheries),
+                grid,
                 device,
                 targets,
                 programmed,
@@ -308,7 +336,7 @@ impl CrossbarArray {
 
     /// The mapping this array was programmed with.
     pub fn mapping(&self) -> Mapping {
-        self.mapping
+        self.grid.mapping()
     }
 
     /// The device model.
@@ -316,46 +344,52 @@ impl CrossbarArray {
         &self.device
     }
 
-    /// The periphery matrix.
+    /// The block-diagonal layer-level periphery.
     pub fn periphery(&self) -> &PeripheryMatrix {
         &self.periphery
     }
 
+    /// The tile layout (1×1 when the device has no tile bound).
+    pub fn grid(&self) -> &TileGrid {
+        &self.grid
+    }
+
     /// Number of inputs (crossbar rows).
     pub fn n_in(&self) -> usize {
-        self.programmed.shape()[1]
+        self.grid.n_in()
     }
 
     /// Number of signed outputs.
     pub fn n_out(&self) -> usize {
-        self.periphery.n_out()
+        self.grid.n_out()
     }
 
-    /// Number of device columns (`N_D`).
+    /// Number of device columns (`N_D`) across all column groups.
     pub fn n_dev(&self) -> usize {
-        self.periphery.n_dev()
+        self.grid.nd_total()
     }
 
-    /// Total synapse elements in the array.
+    /// Total synapse elements across all tiles (occupied cells).
     pub fn num_elements(&self) -> usize {
         self.programmed.len()
     }
 
-    /// The realised conductances (after quantization and variation).
+    /// The realised conductances (after quantization and variation),
+    /// stacked `(n_dev, n_in)`.
     pub fn conductances(&self) -> &Tensor {
         &self.programmed
     }
 
     /// The conductances the read path sees: [`CrossbarArray::conductances`]
     /// composed with drift (at the device's configured time index) and
-    /// line-resistance attenuation. Equal to the programmed matrix when
-    /// both parasitic models are off.
+    /// per-tile line-resistance attenuation. Equal to the programmed
+    /// matrix when both parasitic models are off.
     pub fn effective_conductances(&self) -> &Tensor {
         &self.effective
     }
 
-    /// The ideal conductance targets (after quantization, before
-    /// variation).
+    /// The ideal conductance targets (after quantization and any remap,
+    /// before variation).
     pub fn targets(&self) -> &Tensor {
         &self.targets
     }
@@ -367,14 +401,14 @@ impl CrossbarArray {
             .expect("periphery and conductances are dimension-checked at construction")
     }
 
-    /// The stuck-at defect pattern this array was dealt at programming
-    /// time (pristine under the default fault-free device).
+    /// The stuck-at defects every tile was dealt at programming time, in
+    /// the stacked frame (pristine under the default fault-free device).
     pub fn fault_map(&self) -> &FaultMap {
         &self.faults
     }
 
-    /// Outcome of the most recent programming pass: converged / stuck /
-    /// unconverged cell counts and write statistics.
+    /// Outcome of the most recent programming pass, merged over tiles:
+    /// converged / stuck / unconverged cell counts and write statistics.
     pub fn programming_report(&self) -> &ProgrammingReport {
         &self.report
     }
@@ -398,25 +432,37 @@ impl CrossbarArray {
         }
     }
 
-    /// Re-programs the array around the stored targets, modelling a fresh
-    /// chip written with the same weights — one Monte-Carlo sample of the
-    /// paper's Fig. 6 loop. The defect pattern is part of the chip, so it
-    /// is kept; variation (and write-verify retries) are re-drawn.
+    /// Re-programs every tile around the stored targets, modelling a
+    /// fresh chip written with the same weights — one Monte-Carlo sample
+    /// of the paper's Fig. 6 loop. The defect pattern is part of the
+    /// chip, so it is kept; variation (and write-verify retries) are
+    /// re-drawn tile by tile in grid order.
     pub fn resample_variation(&mut self, rng: &mut XorShiftRng) {
-        let (programmed, report) = self.device.programming().program_tensor(
-            &self.targets,
-            &self.device.variation(),
-            self.device.range(),
-            Some(&self.faults),
-            rng,
-        );
+        let mut programmed = Tensor::zeros(self.targets.shape());
+        let mut report = ProgrammingReport::default();
+        for tile in self.grid.tiles() {
+            let (tile_programmed, tile_report) = self.device.programming().program_tensor(
+                &tile.read(&self.targets),
+                &self.device.variation(),
+                self.device.range(),
+                Some(&tile.faults(&self.faults)),
+                rng,
+            );
+            tile.write(&mut programmed, &tile_programmed);
+            report.merge(tile_report, tile.group.dev_start, tile.row_start);
+        }
+        let mut effective = programmed.clone();
+        self.grid
+            .apply_parasitics(&mut effective, &self.device, &self.faults);
         self.programmed = programmed;
-        self.effective = effective_monolithic(&self.programmed, &self.device, &self.faults);
+        self.effective = effective;
         self.report = report;
     }
 
     /// Raw analog column outputs `y_dev = G · x` for a 1-D input of length
-    /// `n_in()` — what the ADCs digitize, before the periphery combine.
+    /// `n_in()` — what the ADCs digitize across all tiles, accumulated
+    /// digitally across row blocks, before the periphery combine. Runs the
+    /// batched [`CrossbarArray::forward`] path with a batch of one.
     ///
     /// # Errors
     ///
@@ -425,10 +471,14 @@ impl CrossbarArray {
     /// has no encoding for either, and letting them through would poison
     /// every column sum.
     pub fn mvm_raw(&self, x: &Tensor) -> Result<Tensor, MappingError> {
-        if !x.data().iter().all(|v| v.is_finite()) {
-            return Err(MappingError::NonFiniteInput { op: "mvm_raw" });
+        if x.ndim() != 1 {
+            return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
+                "mvm_raw",
+                format!("expected 1-D input, got {:?}", x.shape()),
+            )));
         }
-        linalg::matvec(&self.effective, x).map_err(MappingError::from)
+        let raw = self.raw_batch(&x.reshape(&[1, x.len()])?, "mvm_raw")?;
+        Ok(raw.reshape(&[self.n_dev()])?)
     }
 
     /// Signed MVM `y = S · (G · x)` for a 1-D input.
@@ -441,19 +491,24 @@ impl CrossbarArray {
         linalg::matvec(self.periphery.matrix(), &raw).map_err(MappingError::from)
     }
 
-    /// Batched signed MVM: `X (batch × N_I) → Y (batch × N_O)`.
+    /// Batched signed MVM: `X (batch × N_I) → Y (batch × N_O)`, with the
+    /// per-tile partial products fanned across the compute pool (bitwise
+    /// identical at any thread count).
     ///
     /// # Errors
     ///
     /// Returns a shape error if `x` is not `(batch, n_in())`, or
     /// [`MappingError::NonFiniteInput`] if `x` contains NaN/Inf.
     pub fn forward(&self, x: &Tensor) -> Result<Tensor, MappingError> {
-        if !x.data().iter().all(|v| v.is_finite()) {
-            return Err(MappingError::NonFiniteInput { op: "forward" });
-        }
-        // (batch, n_in) · G^T -> (batch, nd)
-        let raw = linalg::matmul_nt(x, &self.effective).map_err(MappingError::from)?;
+        let raw = self.raw_batch(x, "forward")?;
         self.periphery.combine(&raw)
+    }
+
+    /// Validates a `(batch, n_in)` input and reads the raw column outputs
+    /// of the effective conductances, tile by tile.
+    fn raw_batch(&self, x: &Tensor, op: &'static str) -> Result<Tensor, MappingError> {
+        self.grid.check_batch(x, op)?;
+        Ok(self.grid.raw_mvm(&self.effective, x))
     }
 
     /// Monte-Carlo fan-out: evaluates `trials` freshly re-programmed

@@ -40,10 +40,10 @@
 
 use xbar_device::{DeviceConfig, FaultMap, LifetimeFaultModel, ProgrammingReport, VariationModel};
 use xbar_tensor::rng::XorShiftRng;
-use xbar_tensor::{backend, linalg, Tensor};
+use xbar_tensor::{linalg, Tensor};
 
-use crate::tiling::{block, cols_slice, write_block};
-use crate::{remap_for_faults, ColGroup, MappingError, PeripheryMatrix, TileGrid, TiledCrossbar};
+use crate::tiling::{cols_slice, Tile};
+use crate::{remap_for_faults, CrossbarArray, MappingError, PeripheryMatrix, TileGrid};
 
 /// Health state of one physical tile, as tracked by the
 /// [`HealthMonitor`]'s per-tile state machine.
@@ -356,8 +356,9 @@ impl HealthMonitor {
     ///
     /// # Errors
     ///
-    /// Returns a shape error if the length is not a multiple of 4 or a
-    /// state code is invalid.
+    /// Returns a shape error if the length is not a multiple of 4, a
+    /// state code is invalid, an EWMA is not finite, or a counter is
+    /// negative or not finite.
     pub fn from_flat(flat: &[f32], policy: RepairPolicy) -> Result<Self, MappingError> {
         if !flat.len().is_multiple_of(4) {
             return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
@@ -368,12 +369,20 @@ impl HealthMonitor {
         let tiles = flat
             .chunks_exact(4)
             .map(|c| {
-                let state = TileHealth::from_code(c[0]).ok_or_else(|| {
+                let invalid = |what: &str, v: f32| {
                     MappingError::Shape(xbar_tensor::ShapeError::new(
                         "health monitor",
-                        format!("invalid tile health code {}", c[0]),
+                        format!("invalid tile {what} {v}"),
                     ))
-                })?;
+                };
+                let state =
+                    TileHealth::from_code(c[0]).ok_or_else(|| invalid("health code", c[0]))?;
+                if !c[1].is_finite() {
+                    return Err(invalid("residual EWMA", c[1]));
+                }
+                if let Some(&v) = c[2..].iter().find(|v| !(v.is_finite() && **v >= 0.0)) {
+                    return Err(invalid("counter", v));
+                }
                 Ok(TileState {
                     state,
                     ewma: c[1],
@@ -460,7 +469,7 @@ pub fn checksum_residual(physical: &Tensor, targets: &Tensor) -> f32 {
     worst
 }
 
-/// A [`TiledCrossbar`] wrapped with the full self-healing loop: lifetime
+/// A programmed [`CrossbarArray`] wrapped with the full self-healing loop: lifetime
 /// fault arrivals, per-tile checksum detection, staged repair, and exact
 /// digital fallback for quarantined tiles.
 ///
@@ -472,20 +481,20 @@ pub fn checksum_residual(physical: &Tensor, targets: &Tensor) -> f32 {
 /// # Example
 ///
 /// ```
-/// use xbar_core::{Mapping, RepairPolicy, SelfHealingCrossbar, TiledCrossbar};
+/// use xbar_core::{CrossbarArray, Mapping, RepairPolicy, SelfHealingCrossbar};
 /// use xbar_device::{DeviceConfig, LifetimeFaultModel, TileShape};
 /// use xbar_tensor::{rng::XorShiftRng, Tensor};
 ///
 /// # fn main() -> Result<(), xbar_core::MappingError> {
 /// let mut rng = XorShiftRng::new(9);
 /// let w = Tensor::rand_uniform(&[12, 24], -0.02, 0.02, &mut rng);
-/// let tiled = TiledCrossbar::program_signed(
-///     &w, Mapping::Acm, DeviceConfig::ideal(), TileShape::new(8, 8), &mut rng)?;
+/// let device = DeviceConfig::ideal().with_tile_shape(Some(TileShape::new(8, 8)));
+/// let tiled = CrossbarArray::program_signed(&w, Mapping::Acm, device, &mut rng)?;
 /// let lifetime = LifetimeFaultModel::new(0.001, 7).unwrap();
 /// let mut healing = SelfHealingCrossbar::new(&tiled, lifetime, RepairPolicy::default());
 /// let report = healing.scrub()?;
 /// assert_eq!(report.epoch, 1);
-/// assert_eq!(report.total_tiles, tiled.num_tiles());
+/// assert_eq!(report.total_tiles, tiled.grid().num_tiles());
 /// # Ok(())
 /// # }
 /// ```
@@ -517,7 +526,7 @@ impl SelfHealingCrossbar {
     /// the wrapper's [`SelfHealingCrossbar::forward`] is bitwise
     /// identical to the reference's.
     pub fn new(
-        reference: &TiledCrossbar,
+        reference: &CrossbarArray,
         lifetime: LifetimeFaultModel,
         policy: RepairPolicy,
     ) -> Self {
@@ -578,30 +587,6 @@ impl SelfHealingCrossbar {
         linalg::matmul(self.periphery.matrix(), &self.served).map_err(MappingError::from)
     }
 
-    fn tile_faults(&self, g: &ColGroup, r0: usize, rl: usize) -> FaultMap {
-        let mut tf = FaultMap::pristine(g.dev_len, rl);
-        for (row, col, kind) in self.faults.iter_stuck() {
-            if (g.dev_start..g.dev_start + g.dev_len).contains(&row) && (r0..r0 + rl).contains(&col)
-            {
-                tf.set(row - g.dev_start, col - r0, kind);
-            }
-        }
-        tf
-    }
-
-    /// The local stencil of one column group, extracted from the
-    /// block-diagonal layer periphery (so any folded-in `Perm` row order
-    /// is preserved).
-    fn group_periphery(&self, g: &ColGroup) -> Result<PeripheryMatrix, MappingError> {
-        PeripheryMatrix::try_new(block(
-            self.periphery.matrix(),
-            g.out_start,
-            g.out_len,
-            g.dev_start,
-            g.dev_len,
-        ))
-    }
-
     /// Advances the wear clock one scrub epoch: overlays newly arrived
     /// lifetime faults onto the physical array, re-evaluates every tile's
     /// checksum residual, and runs the detection → repair → quarantine
@@ -642,40 +627,28 @@ impl SelfHealingCrossbar {
             total_tiles: self.grid.num_tiles(),
             exhausted_cells: 0,
         };
-        let mut tile_idx = 0;
-        let row_blocks = self.grid.row_blocks().to_vec();
-        let col_groups = self.grid.col_groups().to_vec();
-        for &(r0, rl) in &row_blocks {
-            for g in &col_groups {
-                let phys = block(&self.physical, g.dev_start, g.dev_len, r0, rl);
-                let tgt = block(&self.targets, g.dev_start, g.dev_len, r0, rl);
-                let residual = checksum_residual(&phys, &tgt);
-                match self.monitor.observe(tile_idx, residual, self.epoch) {
-                    HealthAction::Detected => report.detections += 1,
-                    HealthAction::Repair(stage) => {
-                        let attempt = self.repair_tile(tile_idx, g, r0, rl, stage, &mut report)?;
-                        report.repairs.push(attempt);
-                        self.log.push(attempt);
-                    }
-                    HealthAction::Nothing
-                    | HealthAction::Backoff
-                    | HealthAction::AlreadyQuarantined => {}
+        let tiles: Vec<Tile> = self.grid.tiles().collect();
+        for tile in &tiles {
+            let residual = checksum_residual(&tile.read(&self.physical), &tile.read(&self.targets));
+            match self.monitor.observe(tile.index, residual, self.epoch) {
+                HealthAction::Detected => report.detections += 1,
+                HealthAction::Repair(stage) => {
+                    let attempt = self.repair_tile(tile, stage, &mut report)?;
+                    report.repairs.push(attempt);
+                    self.log.push(attempt);
                 }
-                tile_idx += 1;
+                HealthAction::Nothing
+                | HealthAction::Backoff
+                | HealthAction::AlreadyQuarantined => {}
             }
         }
 
         // 3. Rebuild the served view: physical everywhere, ideal blocks
         // for quarantined tiles.
         self.served = self.physical.clone();
-        let mut tile_idx = 0;
-        for &(r0, rl) in &row_blocks {
-            for g in &col_groups {
-                if self.monitor.state(tile_idx) == TileHealth::Quarantined {
-                    let ideal_block = block(&self.ideal, g.dev_start, g.dev_len, r0, rl);
-                    write_block(&mut self.served, g.dev_start, r0, &ideal_block);
-                }
-                tile_idx += 1;
+        for tile in &tiles {
+            if self.monitor.state(tile.index) == TileHealth::Quarantined {
+                tile.write(&mut self.served, &tile.read(&self.ideal));
             }
         }
 
@@ -691,33 +664,27 @@ impl SelfHealingCrossbar {
     /// RNG, and keeps the repair a pure function of array state.
     fn repair_tile(
         &mut self,
-        tile: usize,
-        g: &ColGroup,
-        r0: usize,
-        rl: usize,
+        tile: &Tile,
         stage: RepairStage,
         report: &mut ScrubReport,
     ) -> Result<RepairAttempt, MappingError> {
         let range = self.device.range();
-        let tf = self.tile_faults(g, r0, rl);
-        let before = block(&self.physical, g.dev_start, g.dev_len, r0, rl);
-        let residual_before = checksum_residual(
-            &before,
-            &block(&self.targets, g.dev_start, g.dev_len, r0, rl),
-        );
+        let tf = tile.faults(&self.faults);
+        let residual_before =
+            checksum_residual(&tile.read(&self.physical), &tile.read(&self.targets));
 
-        // Stage-specific target revision.
+        // Stage-specific target revision; the remap rungs compensate
+        // against the group's stencil cut from the layer periphery, so
+        // any folded-in `Perm` row order is kept.
         let (tile_targets, weight_residual) = match stage {
-            RepairStage::Reprogram => (block(&self.targets, g.dev_start, g.dev_len, r0, rl), None),
-            RepairStage::Remap => {
-                let base = block(&self.targets, g.dev_start, g.dev_len, r0, rl);
-                let p = self.group_periphery(g)?;
-                let (shifted, rr) = remap_for_faults(&base, &p, &tf, range)?;
-                (shifted, Some(rr.residual_after()))
-            }
-            RepairStage::FullRemap => {
-                let base = block(&self.ideal, g.dev_start, g.dev_len, r0, rl);
-                let p = self.group_periphery(g)?;
+            RepairStage::Reprogram => (tile.read(&self.targets), None),
+            RepairStage::Remap | RepairStage::FullRemap => {
+                let base = if stage == RepairStage::Remap {
+                    tile.read(&self.targets)
+                } else {
+                    tile.read(&self.ideal)
+                };
+                let p = tile.group.stencil(&self.periphery)?;
                 let (shifted, rr) = remap_for_faults(&base, &p, &tf, range)?;
                 (shifted, Some(rr.residual_after()))
             }
@@ -735,8 +702,8 @@ impl SelfHealingCrossbar {
                 &mut scrub_rng,
             );
         report.exhausted_cells += prog_report.num_unconverged();
-        write_block(&mut self.targets, g.dev_start, r0, &tile_targets);
-        write_block(&mut self.physical, g.dev_start, r0, &programmed);
+        tile.write(&mut self.targets, &tile_targets);
+        tile.write(&mut self.physical, &programmed);
 
         let residual_after = checksum_residual(&programmed, &tile_targets);
         let healed = match weight_residual {
@@ -745,16 +712,15 @@ impl SelfHealingCrossbar {
             Some(wr) => wr <= self.monitor.policy().weight_tolerance,
             None => residual_after <= self.monitor.policy().residual_threshold,
         };
-        let state = self.monitor.record_attempt(tile, self.epoch, healed);
+        let state = self.monitor.record_attempt(tile.index, self.epoch, healed);
         if state == TileHealth::Quarantined {
             // Reset the tile's intent to pristine so the digital fallback
             // and any later diagnostics agree on what it should compute.
-            let ideal_block = block(&self.ideal, g.dev_start, g.dev_len, r0, rl);
-            write_block(&mut self.targets, g.dev_start, r0, &ideal_block);
+            tile.write(&mut self.targets, &tile.read(&self.ideal));
         }
         Ok(RepairAttempt {
             epoch: self.epoch,
-            tile,
+            tile: tile.index,
             stage,
             residual_before,
             residual_after,
@@ -771,43 +737,6 @@ impl SelfHealingCrossbar {
         *self.served.at_mut(&[row, col]) = value;
     }
 
-    /// Raw accumulated column outputs over the served conductances —
-    /// the exact per-tile fan-out of [`TiledCrossbar`], run over the
-    /// self-healed view.
-    fn raw_batch(&self, x: &Tensor) -> Tensor {
-        let batch = x.shape()[0];
-        let nd = self.grid.nd_total();
-        let mut items = Vec::with_capacity(self.grid.num_tiles());
-        for &(r0, rl) in self.grid.row_blocks() {
-            for g in self.grid.col_groups() {
-                items.push(((r0, rl), *g));
-            }
-        }
-        // Same journal-ordered commit as [`TiledCrossbar::raw_batch`]:
-        // per-tile tasks on the pool, accumulation in submission order.
-        let mut raw = Tensor::zeros(&[batch, nd]);
-        let raw_data = raw.data_mut();
-        backend::ordered_stream(
-            items,
-            |_, ((r0, rl), g)| {
-                let x_block = cols_slice(x, r0, rl);
-                let m_block = block(&self.served, g.dev_start, g.dev_len, r0, rl);
-                let partial = linalg::matmul_nt(&x_block, &m_block)
-                    .expect("tile dimensions agree by construction");
-                (g, partial)
-            },
-            |_, (g, partial)| {
-                for b in 0..batch {
-                    let dst = &mut raw_data[b * nd + g.dev_start..b * nd + g.dev_start + g.dev_len];
-                    for (d, &p) in dst.iter_mut().zip(&partial.data()[b * g.dev_len..]) {
-                        *d += p;
-                    }
-                }
-            },
-        );
-        raw
-    }
-
     /// Batched signed MVM over the self-healed array: quarantined tiles'
     /// partial products come from the exact digital fallback, everything
     /// else from the (possibly faulty) analog state.
@@ -817,23 +746,8 @@ impl SelfHealingCrossbar {
     /// Returns a shape error if `x` is not `(batch, n_in)`, or
     /// [`MappingError::NonFiniteInput`] on NaN/Inf inputs.
     pub fn forward(&self, x: &Tensor) -> Result<Tensor, MappingError> {
-        if x.ndim() != 2 || x.shape()[1] != self.grid.n_in() {
-            return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
-                "self-healing forward",
-                format!(
-                    "expected (batch, {}) input, got {:?}",
-                    self.grid.n_in(),
-                    x.shape()
-                ),
-            )));
-        }
-        if !x.data().iter().all(|v| v.is_finite()) {
-            return Err(MappingError::NonFiniteInput {
-                op: "self-healing forward",
-            });
-        }
-        let raw = self.raw_batch(x);
-        self.periphery.combine(&raw)
+        self.grid.check_batch(x, "self-healing forward")?;
+        self.periphery.combine(&self.grid.raw_mvm(&self.served, x))
     }
 
     /// Like [`SelfHealingCrossbar::forward`], but also returns the ABFT
@@ -846,62 +760,37 @@ impl SelfHealingCrossbar {
     ///
     /// Same conditions as [`SelfHealingCrossbar::forward`].
     pub fn forward_verified(&self, x: &Tensor) -> Result<(Tensor, Vec<f32>), MappingError> {
-        if x.ndim() != 2 || x.shape()[1] != self.grid.n_in() {
-            return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
-                "self-healing forward_verified",
-                format!(
-                    "expected (batch, {}) input, got {:?}",
-                    self.grid.n_in(),
-                    x.shape()
-                ),
-            )));
-        }
-        if !x.data().iter().all(|v| v.is_finite()) {
-            return Err(MappingError::NonFiniteInput {
-                op: "self-healing forward_verified",
-            });
-        }
+        let y = self.forward(x)?;
         let batch = x.shape()[0];
-        let nd = self.grid.nd_total();
-        let mut raw = Tensor::zeros(&[batch, nd]);
-        let mut residuals = Vec::with_capacity(self.grid.num_tiles());
-        for &(r0, rl) in self.grid.row_blocks() {
-            for g in self.grid.col_groups() {
-                let x_block = cols_slice(x, r0, rl);
-                let m_block = block(&self.served, g.dev_start, g.dev_len, r0, rl);
-                let partial = linalg::matmul_nt(&x_block, &m_block)
+        let residuals = self
+            .grid
+            .tiles()
+            .map(|tile| {
+                let (dl, rl) = (tile.group.dev_len, tile.row_len);
+                let x_block = cols_slice(x, tile.row_start, rl);
+                let partial = linalg::matmul_nt(&x_block, &tile.read(&self.served))
                     .expect("tile dimensions agree by construction");
                 // Checksum of the *expected* block: c[i] = Σ_d targets[d, i].
-                let t_block = block(&self.targets, g.dev_start, g.dev_len, r0, rl);
                 let mut checksum = vec![0.0f32; rl];
-                for d in 0..g.dev_len {
-                    for (i, c) in checksum.iter_mut().enumerate() {
-                        *c += t_block.data()[d * rl + i];
+                for row in tile.read(&self.targets).data().chunks_exact(rl) {
+                    for (c, &t) in checksum.iter_mut().zip(row) {
+                        *c += t;
                     }
                 }
-                let mut worst = 0.0f32;
-                for b in 0..batch {
-                    let got: f32 = partial.data()[b * g.dev_len..(b + 1) * g.dev_len]
-                        .iter()
-                        .sum();
-                    let want: f32 = x_block.data()[b * rl..(b + 1) * rl]
-                        .iter()
-                        .zip(&checksum)
-                        .map(|(&xi, &ci)| xi * ci)
-                        .sum();
-                    worst = worst.max((got - want).abs());
-                }
-                residuals.push(worst);
-                for b in 0..batch {
-                    let dst =
-                        &mut raw.data_mut()[b * nd + g.dev_start..b * nd + g.dev_start + g.dev_len];
-                    for (d, &p) in dst.iter_mut().zip(&partial.data()[b * g.dev_len..]) {
-                        *d += p;
-                    }
-                }
-            }
-        }
-        Ok((self.periphery.combine(&raw)?, residuals))
+                (0..batch)
+                    .map(|b| {
+                        let got: f32 = partial.data()[b * dl..(b + 1) * dl].iter().sum();
+                        let want: f32 = x_block.data()[b * rl..(b + 1) * rl]
+                            .iter()
+                            .zip(&checksum)
+                            .map(|(&xi, &ci)| xi * ci)
+                            .sum();
+                        (got - want).abs()
+                    })
+                    .fold(0.0f32, f32::max)
+            })
+            .collect();
+        Ok((y, residuals))
     }
 }
 
@@ -910,18 +799,13 @@ mod tests {
     use super::*;
     use crate::Mapping;
     use xbar_device::{LifetimeFaultModel, TileShape};
+    use xbar_tensor::backend;
 
-    fn reference(mapping: Mapping) -> TiledCrossbar {
+    fn reference(mapping: Mapping) -> CrossbarArray {
         let mut r = XorShiftRng::new(404);
         let w = Tensor::rand_uniform(&[12, 24], -0.02, 0.02, &mut r);
-        TiledCrossbar::program_signed(
-            &w,
-            mapping,
-            DeviceConfig::ideal(),
-            TileShape::new(8, 8),
-            &mut r,
-        )
-        .unwrap()
+        let device = DeviceConfig::ideal().with_tile_shape(Some(TileShape::new(8, 8)));
+        CrossbarArray::program_signed(&w, mapping, device, &mut r).unwrap()
     }
 
     #[test]
@@ -1006,9 +890,14 @@ mod tests {
         assert_eq!(back, m);
         // Invalid encodings are rejected.
         assert!(HealthMonitor::from_flat(&flat[..7], policy).is_err());
-        let mut bad = flat.clone();
-        bad[0] = 9.0;
-        assert!(HealthMonitor::from_flat(&bad, policy).is_err());
+        for (at, value) in [(0, 9.0), (1, f32::NAN), (2, -1.0), (3, f32::INFINITY)] {
+            let mut bad = flat.clone();
+            bad[at] = value;
+            assert!(
+                HealthMonitor::from_flat(&bad, policy).is_err(),
+                "{at}: {value}"
+            );
+        }
     }
 
     #[test]
@@ -1154,7 +1043,10 @@ mod tests {
             }
         }
         assert!(saw_quarantine_event);
-        assert_eq!(healing.monitor().num_quarantined(), tiled.num_tiles());
+        assert_eq!(
+            healing.monitor().num_quarantined(),
+            tiled.grid().num_tiles()
+        );
         assert_eq!(healing.analog_coverage(), 0.0);
         // Digital fallback serves the ideal fault-free output *exactly*.
         let mut r = XorShiftRng::new(29);

@@ -27,9 +27,16 @@
 //!   (`rank(S) = N_O` and a strictly positive null vector, Sec. III-C);
 //! * [`decompose`]/[`compose`] — constructive per-mapping decompositions
 //!   plus a generic Gaussian-elimination solver for *any* valid `S`;
-//! * [`CrossbarArray`] — a behavioural crossbar simulator that programs
-//!   `M` through a [`xbar_device::DeviceConfig`] (quantization +
-//!   variation) and evaluates signed MVMs;
+//! * [`CrossbarArray`] — the one programmed-array type: a behavioural
+//!   crossbar simulator that programs `M` through a
+//!   [`xbar_device::DeviceConfig`] (quantization, variation, faults,
+//!   parasitics) onto the [`TileGrid`] of the device's tile bound — an
+//!   untiled device is the 1×1 grid — and evaluates signed MVMs, fp32 or
+//!   through the int8 integer readout;
+//! * [`TileGrid`] — the tile layout of a mapped layer, whose
+//!   [`TileGrid::tiles`] walk every per-tile stage shares (programming,
+//!   parasitics, MVMs, [`SelfHealingCrossbar`] and the training-side
+//!   scrub);
 //! * [`remap_for_faults`] — fault-aware remapping: stuck-at defects are
 //!   absorbed into the null-space slack of `W = S·M` (shifting a column by
 //!   `c·x_h` changes no weight), with the unabsorbable residual reported;
@@ -72,7 +79,7 @@ mod remap;
 mod tiling;
 
 pub use balance::{balance_profile, BalanceProfile};
-pub use crossbar::{magnitude_permutation, CrossbarArray};
+pub use crossbar::{magnitude_permutation, permute_rows, CrossbarArray};
 pub use decompose::{compose, decompose, decompose_with_periphery, max_representable_scale};
 pub use error::MappingError;
 pub use healing::{
@@ -83,7 +90,7 @@ pub use mapping::{Mapping, ParseMappingError};
 pub use periphery::PeripheryMatrix;
 pub use quantized::{quantized_raw_batch, QuantReadout};
 pub use remap::{remap_for_faults, RemapReport};
-pub use tiling::{ColGroup, TileGrid, TiledCrossbar};
+pub use tiling::{ColGroup, Tile, TileGrid};
 // Re-exported from `xbar_device` (where the physical array bound lives)
 // so existing `xbar_core::TileShape` callers keep compiling.
 pub use xbar_device::TileShape;

@@ -39,7 +39,7 @@ use xbar_tensor::{scratch, Tensor};
 
 use crate::crossbar::CrossbarArray;
 use crate::error::MappingError;
-use crate::tiling::{TileGrid, TiledCrossbar};
+use crate::tiling::TileGrid;
 
 /// Configuration of the integer readout: activation DAC width, optional
 /// calibrated activation clip range, and the column ADC.
@@ -103,25 +103,12 @@ fn readout_quantizer(device: &DeviceConfig, op: &'static str) -> Result<Quantize
     Ok(q)
 }
 
-fn validate_input(x: &Tensor, n_in: usize, op: &'static str) -> Result<(), MappingError> {
-    if x.ndim() != 2 || x.shape()[1] != n_in {
-        return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
-            op,
-            format!("expected (batch, {n_in}) input, got {:?}", x.shape()),
-        )));
-    }
-    if !x.data().iter().all(|v| v.is_finite()) {
-        return Err(MappingError::NonFiniteInput { op });
-    }
-    Ok(())
-}
-
 /// Raw dequantized column outputs `(batch × N_D)` of the integer readout
-/// of `effective (N_D × N_I)` — what the ADCs delivered, before the
-/// periphery combine. With `grid = None` the whole array is one tile;
-/// otherwise each grid tile gets its own int8 GEMM and its own ADC
-/// ranging, and digitized partial sums accumulate as integers across row
-/// blocks in fixed tile order.
+/// of `effective (N_D × N_I)` laid out on `grid` — what the ADCs
+/// delivered, before the periphery combine. Each grid tile gets its own
+/// int8 GEMM and its own ADC ranging (the monolithic grid is one
+/// full-array tile), and digitized partial sums accumulate as integers
+/// across row blocks in fixed tile order.
 ///
 /// The caller guarantees `q.bits() ≤ 8` (see the module docs); shapes
 /// must agree (`x` is `(batch, N_I)`).
@@ -132,7 +119,7 @@ fn validate_input(x: &Tensor, n_in: usize, op: &'static str) -> Result<(), Mappi
 /// `N_I` exceeds [`QGEMM_MAX_K`].
 pub fn quantized_raw_batch(
     effective: &Tensor,
-    grid: Option<&TileGrid>,
+    grid: &TileGrid,
     q: &Quantizer,
     mode: &QuantReadout,
     x: &Tensor,
@@ -140,6 +127,7 @@ pub fn quantized_raw_batch(
     let (batch, k) = (x.shape()[0], x.shape()[1]);
     let nd = effective.shape()[0];
     assert_eq!(effective.shape()[1], k, "conductance/input width mismatch");
+    debug_assert_eq!(grid.nd_total(), nd);
     assert!(k <= QGEMM_MAX_K, "input width {k} exceeds exact-i32 bound");
     assert!(q.bits() <= 8, "device bits must be ≤ 8 for the i8 image");
 
@@ -170,22 +158,6 @@ pub fn quantized_raw_batch(
         .map(|b| codes[b * k..][..k].iter().map(|&c| c as i32 - zp).sum())
         .collect();
 
-    // One work item per tile; the degenerate monolithic grid is a single
-    // full-array tile.
-    let tiles: Vec<(usize, usize, usize, usize)> = match grid {
-        Some(g) => {
-            debug_assert_eq!(g.nd_total(), nd);
-            let mut v = Vec::with_capacity(g.num_tiles());
-            for &(r0, rl) in g.row_blocks() {
-                for cg in g.col_groups() {
-                    v.push((r0, rl, cg.dev_start, cg.dev_len));
-                }
-            }
-            v
-        }
-        None => vec![(0, k, 0, nd)],
-    };
-
     // Digitized partial column sums, accumulated in i32: per-tile integer
     // GEMMs fan across the pool, the ordered stream commits them in
     // submission order, and every step is exact — bitwise identical at
@@ -194,8 +166,10 @@ pub fn quantized_raw_batch(
     let adc = mode.adc;
     let gsym_ref: &[i8] = &gsym;
     backend::ordered_stream(
-        tiles,
-        |_, (r0, rl, d0, dl)| {
+        grid.tiles().collect(),
+        |_, tile| {
+            let (r0, rl) = (tile.row_start, tile.row_len);
+            let (d0, dl) = (tile.group.dev_start, tile.group.dev_len);
             let mut a_blk = scratch::take_filled_i8(batch * rl, 0);
             for b in 0..batch {
                 a_blk[b * rl..][..rl].copy_from_slice(&codes[b * k + r0..][..rl]);
@@ -255,11 +229,13 @@ pub fn quantized_raw_batch(
 }
 
 impl CrossbarArray {
-    /// Batched signed MVM through the integer readout:
+    /// Batched signed MVM through the integer readout, tile by tile:
     /// `X (batch × N_I) → Y (batch × N_O)`, with activations quantized to
-    /// `mode.act_bits`, conductances read on the device state grid, and
-    /// each column sum digitized by `mode.adc`. Bitwise identical for any
-    /// thread count.
+    /// `mode.act_bits`, conductances read on the device state grid, each
+    /// tile's column sums digitized by `mode.adc` (ranged for the tile's
+    /// row depth), digitized partial sums accumulated as integers across
+    /// row blocks, and the per-group periphery combining the result.
+    /// Bitwise identical for any thread count.
     ///
     /// # Errors
     ///
@@ -272,38 +248,8 @@ impl CrossbarArray {
         mode: &QuantReadout,
     ) -> Result<Tensor, MappingError> {
         let q = readout_quantizer(self.device(), "forward_quantized")?;
-        validate_input(x, self.n_in(), "forward_quantized")?;
-        let raw = quantized_raw_batch(self.effective_conductances(), None, &q, mode, x);
-        self.periphery().combine(&raw)
-    }
-}
-
-impl TiledCrossbar {
-    /// Batched signed MVM through the integer readout, tile by tile:
-    /// each grid tile runs its own int8 GEMM and ADC (ranged for the
-    /// tile's row depth), digitized partial sums accumulate as integers
-    /// across row blocks, and the per-group periphery combines the
-    /// result. Bitwise identical for any thread count.
-    ///
-    /// # Errors
-    ///
-    /// [`MappingError::Unsupported`] if the device has no quantizer or
-    /// more than 8 bits; shape / non-finite-input errors as for
-    /// [`TiledCrossbar::forward`].
-    pub fn forward_quantized(
-        &self,
-        x: &Tensor,
-        mode: &QuantReadout,
-    ) -> Result<Tensor, MappingError> {
-        let q = readout_quantizer(self.device(), "forward_quantized")?;
-        validate_input(x, self.n_in(), "forward_quantized")?;
-        let raw = quantized_raw_batch(
-            self.effective_conductances(),
-            Some(self.grid()),
-            &q,
-            mode,
-            x,
-        );
+        self.grid().check_batch(x, "forward_quantized")?;
+        let raw = quantized_raw_batch(self.effective_conductances(), self.grid(), &q, mode, x);
         self.periphery().combine(&raw)
     }
 }
@@ -350,15 +296,14 @@ mod tests {
     fn tiled_readout_matches_f32_on_the_quantized_input() {
         let mut rng = XorShiftRng::new(7);
         let w = rand_tensor(&mut rng, &[20, 50], -0.04, 0.04);
-        let xbar = TiledCrossbar::program_signed(
+        let xbar = CrossbarArray::program_signed(
             &w,
             Mapping::Acm,
-            ideal_device(6),
-            TileShape::new(16, 16),
+            ideal_device(6).with_tile_shape(Some(TileShape::new(16, 16))),
             &mut rng,
         )
         .unwrap();
-        assert!(xbar.num_tiles() > 1);
+        assert!(xbar.grid().num_tiles() > 1);
         let x = rand_tensor(&mut rng, &[4, 50], -1.0, 1.0);
         let mode = QuantReadout::default();
         let got = xbar.forward_quantized(&x, &mode).unwrap();
@@ -373,11 +318,10 @@ mod tests {
     fn readout_is_bitwise_identical_serial_vs_parallel() {
         let mut rng = XorShiftRng::new(99);
         let w = rand_tensor(&mut rng, &[24, 60], -0.3, 0.3);
-        let xbar = TiledCrossbar::program_signed(
+        let xbar = CrossbarArray::program_signed(
             &w,
             Mapping::BiasColumn,
-            ideal_device(5),
-            TileShape::new(16, 16),
+            ideal_device(5).with_tile_shape(Some(TileShape::new(16, 16))),
             &mut rng,
         )
         .unwrap();

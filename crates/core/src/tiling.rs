@@ -16,19 +16,16 @@
 //! mapping's `N_D`, so DE fits `cols/2` outputs per tile against BC/ACM's
 //! `cols − 1` — the physical origin of Table I's area gap.
 //! [`TileGrid`] exposes the grid so system-level models can count arrays,
-//! and [`TiledCrossbar`] mirrors the full [`crate::CrossbarArray`] API
-//! (programming reports, fault maps, fault-aware remapping, Monte-Carlo
-//! resampling) with every operation applied tile-locally.
+//! and its [`TileGrid::tiles`] walk — with [`Tile`]'s block read/write and
+//! tile-local fault slicing — is the one place every per-tile stage
+//! (programming, parasitics, MVM, the integer readout, self-healing)
+//! iterates the grid. [`crate::CrossbarArray`] programs onto the grid of
+//! its device's [`DeviceConfig::tile_shape`].
 
-use xbar_device::{DeviceConfig, FaultMap, ProgrammingReport, TileShape};
-use xbar_tensor::rng::XorShiftRng;
+use xbar_device::{DeviceConfig, FaultMap, TileShape};
 use xbar_tensor::{backend, linalg, Tensor};
 
-use crate::crossbar::permute_rows;
-use crate::{
-    decompose, magnitude_permutation, remap_for_faults, Mapping, MappingError, PeripheryMatrix,
-    RemapReport,
-};
+use crate::{decompose, Mapping, MappingError, PeripheryMatrix};
 
 /// One column-group of a [`TileGrid`]: a contiguous run of logical
 /// outputs whose device columns (including any local reference column)
@@ -43,6 +40,119 @@ pub struct ColGroup {
     pub dev_start: usize,
     /// Device columns the group occupies (`mapping.num_device_columns(out_len)`).
     pub dev_len: usize,
+}
+
+impl ColGroup {
+    /// The group's device rows of a stacked `(nd_total × n)` tensor.
+    pub fn dev_rows(&self, t: &Tensor) -> Tensor {
+        rows_slice(t, self.dev_start, self.dev_len)
+    }
+
+    /// The group's logical-output rows of an `(n_out × n)` tensor.
+    pub fn out_rows(&self, t: &Tensor) -> Tensor {
+        rows_slice(t, self.out_start, self.out_len)
+    }
+
+    /// Writes a `(dev_len × n)` tensor over the group's device rows of
+    /// `dst`.
+    pub fn write_dev_rows(&self, dst: &mut Tensor, src: &Tensor) {
+        write_block(dst, self.dev_start, 0, src);
+    }
+
+    /// The group's device rows of a stacked fault map, over every input.
+    pub fn faults(&self, faults: &FaultMap) -> FaultMap {
+        sub_map(faults, self.dev_start, self.dev_len, 0, faults.shape().1)
+    }
+
+    /// The group's local stencil, cut out of a block-diagonal layer
+    /// periphery — so a row order folded in by [`Mapping::Perm`] is kept.
+    ///
+    /// # Errors
+    ///
+    /// [`MappingError::InvalidPeriphery`] if the cut block is not a valid
+    /// stencil (a corrupt layer periphery).
+    pub fn stencil(&self, periphery: &PeripheryMatrix) -> Result<PeripheryMatrix, MappingError> {
+        PeripheryMatrix::try_new(block(
+            periphery.matrix(),
+            self.out_start,
+            self.out_len,
+            self.dev_start,
+            self.dev_len,
+        ))
+    }
+}
+
+/// One physical array of a [`TileGrid`]: the cells where a row block (a
+/// run of inputs) crosses a column group (a run of device columns).
+///
+/// # Example
+///
+/// ```
+/// use xbar_core::{CrossbarArray, Mapping};
+/// use xbar_device::{DeviceConfig, TileShape};
+/// use xbar_tensor::{rng::XorShiftRng, Tensor};
+///
+/// # fn main() -> Result<(), xbar_core::MappingError> {
+/// let mut rng = XorShiftRng::new(5);
+/// let w = Tensor::rand_uniform(&[20, 50], -0.01, 0.01, &mut rng);
+/// let device = DeviceConfig::ideal().with_tile_shape(Some(TileShape::new(16, 16)));
+/// let xbar = CrossbarArray::program_signed(&w, Mapping::Acm, device, &mut rng)?;
+/// // ceil(50/16) row blocks x ceil(20/15) column groups.
+/// assert_eq!(xbar.grid().grid(), (4, 2));
+/// let cells: usize = xbar
+///     .grid()
+///     .tiles()
+///     .map(|tile| tile.read(xbar.conductances()).len())
+///     .sum();
+/// assert_eq!(cells, xbar.num_elements());
+/// let y = xbar.mvm_signed(&Tensor::rand_uniform(&[50], -1.0, 1.0, &mut rng))?;
+/// assert_eq!(y.len(), 20);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tile {
+    /// Position in grid order: row blocks outer, column groups inner.
+    pub index: usize,
+    /// Index of the tile's column group in [`TileGrid::col_groups`].
+    pub(crate) group_index: usize,
+    /// First input (conductance-matrix column) the tile holds.
+    pub row_start: usize,
+    /// Inputs the tile holds.
+    pub row_len: usize,
+    /// The tile's column group.
+    pub group: ColGroup,
+}
+
+impl Tile {
+    /// Copies the tile's `(dev_len × row_len)` block out of a stacked
+    /// `(nd_total × n_in)` tensor.
+    pub fn read(&self, t: &Tensor) -> Tensor {
+        block(
+            t,
+            self.group.dev_start,
+            self.group.dev_len,
+            self.row_start,
+            self.row_len,
+        )
+    }
+
+    /// Writes a `(dev_len × row_len)` block over the tile's cells of a
+    /// stacked `(nd_total × n_in)` tensor.
+    pub fn write(&self, dst: &mut Tensor, src: &Tensor) {
+        write_block(dst, self.group.dev_start, self.row_start, src);
+    }
+
+    /// The tile's cells of a stacked fault map, in tile-local coordinates.
+    pub fn faults(&self, faults: &FaultMap) -> FaultMap {
+        sub_map(
+            faults,
+            self.group.dev_start,
+            self.group.dev_len,
+            self.row_start,
+            self.row_len,
+        )
+    }
 }
 
 /// The tile decomposition of one mapped layer: how `n_in` inputs and
@@ -146,6 +256,44 @@ impl TileGrid {
             row_blocks,
             col_groups,
         })
+    }
+
+    /// The grid of a stacked `(nd × n_in)` conductance matrix, with the
+    /// logical output count inferred from `nd`, `mapping` and `tile`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape error if no output count lays out to `nd` device
+    /// columns, or if [`TileGrid::new`] rejects the layout.
+    pub(crate) fn for_conductances(
+        nd: usize,
+        n_in: usize,
+        mapping: Mapping,
+        tile: Option<TileShape>,
+    ) -> Result<Self, MappingError> {
+        let cap = match tile {
+            Some(t) => Self::outputs_per_tile(mapping, t)?,
+            None => usize::MAX,
+        };
+        let n_out = match mapping {
+            Mapping::DoubleElement => Some(nd / 2).filter(|&n| n > 0 && 2 * n == nd),
+            // nd = n_out + ceil(n_out / cap) is strictly increasing in
+            // n_out, so the group count k with nd = n_out + k is unique
+            // when it exists.
+            Mapping::BiasColumn | Mapping::Acm | Mapping::Perm => (1..nd)
+                .map(|k| nd - k)
+                .find(|&n_out| n_out.div_ceil(cap) == nd - n_out),
+        };
+        let n_out = n_out.ok_or_else(|| {
+            MappingError::Shape(xbar_tensor::ShapeError::new(
+                "program_conductances",
+                format!(
+                    "{nd} device columns are inconsistent with {mapping}{}",
+                    tile.map_or_else(String::new, |t| format!(" on {t} tiles"))
+                ),
+            ))
+        })?;
+        Self::new(n_out, n_in, mapping, tile)
     }
 
     /// Logical outputs one `tile`-wide physical array can carry under
@@ -276,9 +424,7 @@ impl TileGrid {
         }
         let mut m = Tensor::zeros(&[self.nd_total(), self.n_in]);
         for g in &self.col_groups {
-            let w_group = rows_slice(w, g.out_start, g.out_len);
-            let m_group = decompose(&w_group, self.mapping, range)?;
-            write_rows(&mut m, g.dev_start, &m_group);
+            g.write_dev_rows(&mut m, &decompose(&g.out_rows(w), self.mapping, range)?);
         }
         Ok(m)
     }
@@ -296,8 +442,8 @@ impl TileGrid {
     pub fn apply_parasitics(
         &self,
         conductances: &mut Tensor,
-        device: &xbar_device::DeviceConfig,
-        faults: &xbar_device::FaultMap,
+        device: &DeviceConfig,
+        faults: &FaultMap,
     ) {
         let drift = device.drift();
         let line = device.line_resistance();
@@ -312,562 +458,79 @@ impl TileGrid {
             }
         }
         if !line.is_none() {
-            for &(r0, rl) in self.row_blocks() {
-                for g in self.col_groups() {
-                    let mut tile_block = block(conductances, g.dev_start, g.dev_len, r0, rl);
-                    line.apply_tile(&mut tile_block);
-                    write_block(conductances, g.dev_start, r0, &tile_block);
-                }
+            for tile in self.tiles() {
+                let mut cells = tile.read(conductances);
+                line.apply_tile(&mut cells);
+                tile.write(conductances, &cells);
             }
         }
     }
-}
 
-/// Copies rows `[start, start + len)` of a 2-D tensor into a new tensor.
-pub(crate) fn rows_slice(t: &Tensor, start: usize, len: usize) -> Tensor {
-    let cols = t.shape()[1];
-    Tensor::from_vec(
-        t.data()[start * cols..(start + len) * cols].to_vec(),
-        &[len, cols],
-    )
-    .expect("slice length matches shape")
-}
-
-/// Copies columns `[start, start + len)` of a 2-D tensor into a new tensor.
-pub(crate) fn cols_slice(t: &Tensor, start: usize, len: usize) -> Tensor {
-    let (rows, cols) = (t.shape()[0], t.shape()[1]);
-    let mut out = Tensor::zeros(&[rows, len]);
-    for r in 0..rows {
-        let src = &t.data()[r * cols + start..r * cols + start + len];
-        out.data_mut()[r * len..(r + 1) * len].copy_from_slice(src);
-    }
-    out
-}
-
-/// Extracts the `(r0..r0+rl, c0..c0+cl)` block of a 2-D tensor.
-pub(crate) fn block(t: &Tensor, r0: usize, rl: usize, c0: usize, cl: usize) -> Tensor {
-    let cols = t.shape()[1];
-    let mut out = Tensor::zeros(&[rl, cl]);
-    for r in 0..rl {
-        let src = &t.data()[(r0 + r) * cols + c0..(r0 + r) * cols + c0 + cl];
-        out.data_mut()[r * cl..(r + 1) * cl].copy_from_slice(src);
-    }
-    out
-}
-
-/// Writes `src` into `dst` starting at row `r0` (full-width rows).
-pub(crate) fn write_rows(dst: &mut Tensor, r0: usize, src: &Tensor) {
-    let cols = dst.shape()[1];
-    debug_assert_eq!(cols, src.shape()[1]);
-    let n = src.len();
-    dst.data_mut()[r0 * cols..r0 * cols + n].copy_from_slice(src.data());
-}
-
-/// Writes `src` into the `(r0.., c0..)` block of `dst`.
-pub(crate) fn write_block(dst: &mut Tensor, r0: usize, c0: usize, src: &Tensor) {
-    let cols = dst.shape()[1];
-    let (srl, scl) = (src.shape()[0], src.shape()[1]);
-    for r in 0..srl {
-        dst.data_mut()[(r0 + r) * cols + c0..(r0 + r) * cols + c0 + scl]
-            .copy_from_slice(&src.data()[r * scl..(r + 1) * scl]);
-    }
-}
-
-/// Composes the parasitic read non-idealities onto the stacked programmed
-/// conductances: drift first (cell state decays in place; stuck cells are
-/// physically frozen and do not drift), then line-resistance attenuation
-/// applied *tile-locally* — each physical array has its own wire runs, so
-/// the IR drop restarts at every tile boundary. Drift coordinates are the
-/// global stacked `(row, col)`, making the decay a pure function of the
-/// cell's position in the layer regardless of the tile grid. Returns a
-/// plain copy when both models are off.
-fn effective_tiled(
-    programmed: &Tensor,
-    device: &DeviceConfig,
-    faults: &FaultMap,
-    grid: &TileGrid,
-) -> Tensor {
-    let mut eff = programmed.clone();
-    grid.apply_parasitics(&mut eff, device, faults);
-    eff
-}
-
-/// A signed MVM engine built from a grid of physical crossbar tiles.
-///
-/// Semantically equivalent to [`crate::CrossbarArray`] and exposing the
-/// same API surface (batched `forward`, fault maps, programming reports,
-/// fault-aware remapping, Monte-Carlo resampling), but respecting a
-/// physical tile size: each tile holds one sub-block of the stacked
-/// conductance matrix and is dealt its own stuck-at defects, programmed
-/// through its own write-verify pass, and remapped against its own local
-/// periphery stencil — as separate chips would be. Batched MVMs fan the
-/// per-tile partial products across the compute pool and accumulate them
-/// in fixed tile order, so results are bitwise identical to serial
-/// execution.
-///
-/// # Example
-///
-/// ```
-/// use xbar_core::{Mapping, TiledCrossbar};
-/// use xbar_device::{DeviceConfig, TileShape};
-/// use xbar_tensor::{rng::XorShiftRng, Tensor};
-///
-/// # fn main() -> Result<(), xbar_core::MappingError> {
-/// let mut rng = XorShiftRng::new(5);
-/// let w = Tensor::rand_uniform(&[20, 50], -0.01, 0.01, &mut rng);
-/// let tiled = TiledCrossbar::program_signed(
-///     &w, Mapping::Acm, DeviceConfig::ideal(), TileShape::new(16, 16), &mut rng)?;
-/// // ceil(50/16) row blocks x ceil(20/15) column groups.
-/// assert_eq!(tiled.tile_grid(), (4, 2));
-/// let x = Tensor::rand_uniform(&[50], -1.0, 1.0, &mut rng);
-/// let y = tiled.mvm_signed(&x)?;
-/// assert_eq!(y.len(), 20);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct TiledCrossbar {
-    grid: TileGrid,
-    periphery: PeripheryMatrix,
-    device: DeviceConfig,
-    tile: TileShape,
-    /// Ideal (post-quantization, pre-variation, post-remap) conductance
-    /// targets, stacked `(nd_total, n_in)`.
-    targets: Tensor,
-    /// Realised conductances after per-tile programming.
-    programmed: Tensor,
-    /// What the read path sees: `programmed` composed with conductance
-    /// drift (global stacked coordinates) and per-tile line-resistance
-    /// attenuation. Equal to `programmed` when both parasitics are off.
-    effective: Tensor,
-    /// The stuck-at defects all tiles were dealt, in the stacked frame.
-    faults: FaultMap,
-    /// Merged outcome of the most recent per-tile programming passes.
-    report: ProgrammingReport,
-}
-
-impl TiledCrossbar {
-    /// Decomposes `W (N_O × N_I)` under `mapping` and programs the
-    /// conductances across a grid of `tile`-sized arrays through
-    /// `device`, tile by tile.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the decomposition fails or the tile is too
-    /// narrow for `mapping`.
-    pub fn program_signed(
-        w: &Tensor,
-        mapping: Mapping,
-        device: DeviceConfig,
-        tile: TileShape,
-        rng: &mut XorShiftRng,
-    ) -> Result<Self, MappingError> {
-        let grid = Self::grid_for(w, mapping, tile)?;
-        let m = grid.decompose(w, device.range())?;
-        Self::program_inner(&m, grid, device, tile, false, rng).map(|(xbar, _)| xbar)
+    /// The physical tiles in grid order — row blocks outer, column
+    /// groups inner. Every per-tile stage walks the grid in this order,
+    /// which is what pins its RNG draws and reduction order.
+    pub fn tiles(&self) -> impl ExactSizeIterator<Item = Tile> + '_ {
+        let groups = self.col_groups.len();
+        (0..self.num_tiles()).map(move |index| {
+            let (row_start, row_len) = self.row_blocks[index / groups];
+            let group_index = index % groups;
+            Tile {
+                index,
+                group_index,
+                row_start,
+                row_len,
+                group: self.col_groups[group_index],
+            }
+        })
     }
 
-    /// Like [`TiledCrossbar::program_signed`], but absorbs each tile's
-    /// sampled stuck-at faults into its local periphery's null-space
-    /// slack before programming (see [`remap_for_faults`]); the returned
-    /// [`RemapReport`] merges the per-tile reports.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the decomposition fails.
-    pub fn program_signed_remapped(
-        w: &Tensor,
-        mapping: Mapping,
-        device: DeviceConfig,
-        tile: TileShape,
-        rng: &mut XorShiftRng,
-    ) -> Result<(Self, RemapReport), MappingError> {
-        let grid = Self::grid_for(w, mapping, tile)?;
-        let m = grid.decompose(w, device.range())?;
-        Self::program_inner(&m, grid, device, tile, true, rng)
-            .map(|(xbar, report)| (xbar, report.expect("remap requested")))
-    }
-
-    /// Programs an explicit stacked non-negative conductance matrix
-    /// `M (nd_total × N_I)` — the path used after training, where the
-    /// trainer owns `M` directly. The logical output count is inferred
-    /// from the row count, `mapping` and `tile`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `M` is negative anywhere, exceeds the device
-    /// range, or its row count is inconsistent with `mapping` and `tile`.
-    pub fn program_conductances(
-        m: &Tensor,
-        mapping: Mapping,
-        device: DeviceConfig,
-        tile: TileShape,
-        rng: &mut XorShiftRng,
-    ) -> Result<Self, MappingError> {
-        let grid = Self::grid_for_conductances(m, mapping, tile)?;
-        Self::program_inner(m, grid, device, tile, false, rng).map(|(xbar, _)| xbar)
-    }
-
-    /// Like [`TiledCrossbar::program_conductances`], but fault-aware:
-    /// each tile's frozen cells are compensated by shifting its healthy
-    /// cells along the local periphery's null direction.
-    ///
-    /// # Errors
-    ///
-    /// Same validation as [`TiledCrossbar::program_conductances`].
-    pub fn program_conductances_remapped(
-        m: &Tensor,
-        mapping: Mapping,
-        device: DeviceConfig,
-        tile: TileShape,
-        rng: &mut XorShiftRng,
-    ) -> Result<(Self, RemapReport), MappingError> {
-        let grid = Self::grid_for_conductances(m, mapping, tile)?;
-        Self::program_inner(m, grid, device, tile, true, rng)
-            .map(|(xbar, report)| (xbar, report.expect("remap requested")))
-    }
-
-    fn grid_for(w: &Tensor, mapping: Mapping, tile: TileShape) -> Result<TileGrid, MappingError> {
-        if w.ndim() != 2 {
+    /// Checks that `x` is a finite `(batch, n_in)` input batch — a DAC has
+    /// no encoding for NaN/Inf, and letting one through would poison
+    /// every column sum.
+    pub(crate) fn check_batch(&self, x: &Tensor, op: &'static str) -> Result<(), MappingError> {
+        if x.ndim() != 2 || x.shape()[1] != self.n_in {
             return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
-                "tiled program_signed",
-                format!("expected 2-D weights, got {:?}", w.shape()),
+                op,
+                format!("expected (batch, {}) input, got {:?}", self.n_in, x.shape()),
             )));
         }
-        TileGrid::new(w.shape()[0], w.shape()[1], mapping, Some(tile))
-    }
-
-    fn grid_for_conductances(
-        m: &Tensor,
-        mapping: Mapping,
-        tile: TileShape,
-    ) -> Result<TileGrid, MappingError> {
-        if m.ndim() != 2 {
-            return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
-                "tiled program_conductances",
-                format!("expected 2-D conductance matrix, got {:?}", m.shape()),
-            )));
+        if !x.data().iter().all(|v| v.is_finite()) {
+            return Err(MappingError::NonFiniteInput { op });
         }
-        let nd = m.shape()[0];
-        let cap = TileGrid::outputs_per_tile(mapping, tile)?;
-        let n_out = match mapping {
-            Mapping::DoubleElement => {
-                if !nd.is_multiple_of(2) || nd == 0 {
-                    return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
-                        "tiled program_conductances",
-                        format!("DE needs a positive even device-column count, got {nd}"),
-                    )));
-                }
-                nd / 2
-            }
-            Mapping::BiasColumn | Mapping::Acm | Mapping::Perm => {
-                // nd = n_out + ceil(n_out / cap) is strictly increasing in
-                // n_out, so the group count k with nd = n_out + k is
-                // unique when it exists.
-                (1..nd)
-                    .map(|k| nd - k)
-                    .find(|&n_out| n_out.div_ceil(cap) == nd - n_out)
-                    .ok_or_else(|| {
-                        MappingError::Shape(xbar_tensor::ShapeError::new(
-                            "tiled program_conductances",
-                            format!(
-                                "{nd} device columns are inconsistent with {mapping} on {tile} tiles"
-                            ),
-                        ))
-                    })?
-            }
-        };
-        TileGrid::new(n_out, m.shape()[1], mapping, Some(tile))
+        Ok(())
     }
 
-    fn program_inner(
-        m: &Tensor,
-        grid: TileGrid,
-        device: DeviceConfig,
-        tile: TileShape,
-        remap: bool,
-        rng: &mut XorShiftRng,
-    ) -> Result<(Self, Option<RemapReport>), MappingError> {
-        if !m.data().iter().all(|v| v.is_finite()) {
-            return Err(MappingError::NonFiniteInput {
-                op: "tiled program_conductances",
-            });
-        }
-        let range = device.range();
-        if m.min() < range.g_min() - 1e-6 || m.max() > range.g_max() + 1e-6 {
-            return Err(MappingError::NotRepresentable {
-                mapping: grid.mapping().tag(),
-                detail: format!(
-                    "conductances [{}, {}] outside device range [{}, {}]",
-                    m.min(),
-                    m.max(),
-                    range.g_min(),
-                    range.g_max()
-                ),
-            });
-        }
-        let (nd, n_in) = (grid.nd_total(), grid.n_in());
-        debug_assert_eq!(m.shape(), [nd, n_in]);
-        // Snap to the device's programmable states (as one array would);
-        // every per-tile stage below starts from the snapped targets.
-        let mut snapped = m.map(|g| device.snap(g));
-        let mut targets = Tensor::zeros(&[nd, n_in]);
-        let mut programmed = Tensor::zeros(&[nd, n_in]);
-        let mut faults = FaultMap::pristine(nd, n_in);
-        let mut report = ProgrammingReport::default();
-        let mut remap_report: Option<RemapReport> = None;
-        // Per-group local stencils, reused across the grid rows.
-        let mut peripheries: Vec<PeripheryMatrix> = grid
-            .col_groups()
-            .iter()
-            .map(|g| grid.mapping().periphery(g.out_len))
-            .collect();
-        // Perm: each group derives its physical row order from the
-        // *pre-snap* conductances over the full input width (so every row
-        // block of the group agrees on one order), folds the inverse into
-        // the group's local stencil, and rearranges the group's snapped
-        // rows into physical order. The stable descending sort keeps the
-        // group's all-mid reference row in the last position.
-        if grid.mapping() == Mapping::Perm {
-            let mid = range.midpoint();
-            for (g, periphery) in grid.col_groups().iter().zip(peripheries.iter_mut()) {
-                let m_group = rows_slice(m, g.dev_start, g.dev_len);
-                let perm = magnitude_permutation(&m_group, mid);
-                *periphery = periphery.permuted(&perm);
-                let snapped_group = rows_slice(&snapped, g.dev_start, g.dev_len);
-                write_rows(
-                    &mut snapped,
-                    g.dev_start,
-                    &permute_rows(&snapped_group, &perm),
-                );
-            }
-        }
-        // Deterministic tile order: row blocks outer, column groups inner.
-        // Each tile is an independent physical array: it draws its own
-        // defect pattern and runs its own write-verify pass.
-        for &(r0, rl) in grid.row_blocks() {
-            for (g, periphery) in grid.col_groups().iter().zip(&peripheries) {
-                let mut tile_targets = block(&snapped, g.dev_start, g.dev_len, r0, rl);
-                let tile_faults = device.faults().sample_map(g.dev_len, rl, rng);
-                if remap {
-                    let (shifted, tile_remap) =
-                        remap_for_faults(&tile_targets, periphery, &tile_faults, range)?;
-                    tile_targets = shifted;
-                    remap_report = Some(match remap_report {
-                        Some(acc) => acc.merge(&tile_remap),
-                        None => tile_remap,
-                    });
-                }
-                let (tile_programmed, tile_report) = device.programming().program_tensor(
-                    &tile_targets,
-                    &device.variation(),
-                    range,
-                    Some(&tile_faults),
-                    rng,
-                );
-                write_block(&mut targets, g.dev_start, r0, &tile_targets);
-                write_block(&mut programmed, g.dev_start, r0, &tile_programmed);
-                for (row, col, kind) in tile_faults.iter_stuck() {
-                    faults.set(g.dev_start + row, r0 + col, kind);
-                }
-                report.merge(tile_report, g.dev_start, r0);
-            }
-        }
-        // Block-diagonal over the (possibly permuted) per-group stencils;
-        // identical to `grid.periphery()` for the non-permuted mappings.
-        let periphery = PeripheryMatrix::block_diagonal(&peripheries);
-        let effective = effective_tiled(&programmed, &device, &faults, &grid);
-        Ok((
-            Self {
-                grid,
-                periphery,
-                device,
-                tile,
-                targets,
-                programmed,
-                effective,
-                faults,
-                report,
-            },
-            remap_report,
-        ))
-    }
-
-    /// The mapping in use.
-    pub fn mapping(&self) -> Mapping {
-        self.grid.mapping()
-    }
-
-    /// The device model.
-    pub fn device(&self) -> &DeviceConfig {
-        &self.device
-    }
-
-    /// The block-diagonal layer-level periphery.
-    pub fn periphery(&self) -> &PeripheryMatrix {
-        &self.periphery
-    }
-
-    /// The physical tile shape.
-    pub fn tile_shape(&self) -> TileShape {
-        self.tile
-    }
-
-    /// The tile layout.
-    pub fn grid(&self) -> &TileGrid {
-        &self.grid
-    }
-
-    /// Grid dimensions `(row blocks, column groups)`.
-    pub fn tile_grid(&self) -> (usize, usize) {
-        self.grid.grid()
-    }
-
-    /// Total number of physical arrays.
-    pub fn num_tiles(&self) -> usize {
-        self.grid.num_tiles()
-    }
-
-    /// Number of logical inputs.
-    pub fn n_in(&self) -> usize {
-        self.grid.n_in()
-    }
-
-    /// Number of signed outputs.
-    pub fn n_out(&self) -> usize {
-        self.grid.n_out()
-    }
-
-    /// Total device columns across all column groups.
-    pub fn n_dev(&self) -> usize {
-        self.grid.nd_total()
-    }
-
-    /// Total synapse elements across all tiles (occupied cells).
-    pub fn num_elements(&self) -> usize {
-        self.programmed.len()
-    }
-
-    /// The realised conductances (stacked `(n_dev, n_in)`).
-    pub fn conductances(&self) -> &Tensor {
-        &self.programmed
-    }
-
-    /// The conductances the read path sees: [`TiledCrossbar::conductances`]
-    /// composed with drift and per-tile line-resistance attenuation. Equal
-    /// to the programmed matrix when both parasitic models are off.
-    pub fn effective_conductances(&self) -> &Tensor {
-        &self.effective
-    }
-
-    /// The ideal conductance targets (after quantization and any remap,
-    /// before variation).
-    pub fn targets(&self) -> &Tensor {
-        &self.targets
-    }
-
-    /// The effective signed weight matrix `S · G` realised by the grid,
-    /// including the parasitic read non-idealities.
-    pub fn effective_weights(&self) -> Tensor {
-        linalg::matmul(self.periphery.matrix(), &self.effective)
-            .expect("periphery and conductances are dimension-checked at construction")
-    }
-
-    /// The stuck-at defects all tiles were dealt, in the stacked
-    /// conductance-matrix frame.
-    pub fn fault_map(&self) -> &FaultMap {
-        &self.faults
-    }
-
-    /// Merged outcome of the per-tile programming passes.
-    pub fn programming_report(&self) -> &ProgrammingReport {
-        &self.report
-    }
-
-    /// Returns a typed error if any tile's last programming pass left a
-    /// cell out of tolerance.
+    /// Raw column outputs `X · Gᵀ (batch × nd_total)` of stacked
+    /// conductances `g (nd_total × n_in)` for a batch `X (batch × n_in)`,
+    /// read tile by tile: each tile's partial product is a task on the
+    /// compute pool, and partial sums accumulate digitally across row
+    /// blocks in submission order, so the result is bitwise identical at
+    /// any thread count. The monolithic grid is one `matmul_nt` over the
+    /// whole matrix, with nothing copied.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// [`MappingError::ProgrammingFailed`] with the unconverged-cell count
-    /// and worst residual.
-    pub fn require_converged(&self) -> Result<(), MappingError> {
-        if self.report.all_converged() {
-            Ok(())
-        } else {
-            Err(MappingError::ProgrammingFailed {
-                unconverged: self.report.num_unconverged(),
-                worst_residual: self.report.worst_residual(),
-            })
+    /// Panics if the shapes disagree with the grid.
+    pub(crate) fn raw_mvm(&self, g: &Tensor, x: &Tensor) -> Tensor {
+        if self.is_monolithic() {
+            return linalg::matmul_nt(x, g).expect("tile dimensions agree by construction");
         }
-    }
-
-    /// Re-programs every tile around the stored targets, modelling a
-    /// fresh multi-chip module written with the same weights. Each tile's
-    /// defect pattern is part of its chip, so it is kept; variation (and
-    /// write-verify retries) are re-drawn tile by tile in grid order.
-    pub fn resample_variation(&mut self, rng: &mut XorShiftRng) {
-        let mut programmed = Tensor::zeros(self.targets.shape());
-        let mut report = ProgrammingReport::default();
-        for &(r0, rl) in self.grid.row_blocks() {
-            for g in self.grid.col_groups() {
-                let tile_targets = block(&self.targets, g.dev_start, g.dev_len, r0, rl);
-                let mut tile_faults = FaultMap::pristine(g.dev_len, rl);
-                for (row, col, kind) in self.faults.iter_stuck() {
-                    if (g.dev_start..g.dev_start + g.dev_len).contains(&row)
-                        && (r0..r0 + rl).contains(&col)
-                    {
-                        tile_faults.set(row - g.dev_start, col - r0, kind);
-                    }
-                }
-                let (tile_programmed, tile_report) = self.device.programming().program_tensor(
-                    &tile_targets,
-                    &self.device.variation(),
-                    self.device.range(),
-                    Some(&tile_faults),
-                    rng,
-                );
-                write_block(&mut programmed, g.dev_start, r0, &tile_programmed);
-                report.merge(tile_report, g.dev_start, r0);
-            }
-        }
-        self.programmed = programmed;
-        self.effective = effective_tiled(&self.programmed, &self.device, &self.faults, &self.grid);
-        self.report = report;
-    }
-
-    /// Raw accumulated column outputs for a batch `X (batch × N_I)`:
-    /// per-tile partial products fanned across the compute pool, then
-    /// summed digitally across grid rows in fixed tile order (bitwise
-    /// identical to serial execution).
-    fn raw_batch(&self, x: &Tensor) -> Tensor {
         let batch = x.shape()[0];
-        let nd = self.grid.nd_total();
-        let mut items = Vec::with_capacity(self.grid.num_tiles());
-        for &(r0, rl) in self.grid.row_blocks() {
-            for g in self.grid.col_groups() {
-                items.push(((r0, rl), *g));
-            }
-        }
-        // One task per tile; partial products are committed (accumulated)
-        // in submission order on the calling thread via the ordered
-        // stream, so the reduction over row blocks is bitwise identical
-        // at any thread count and under any steal interleaving.
+        let nd = self.nd_total();
         let mut raw = Tensor::zeros(&[batch, nd]);
         let raw_data = raw.data_mut();
         backend::ordered_stream(
-            items,
-            |_, ((r0, rl), g)| {
-                let x_block = cols_slice(x, r0, rl);
-                let m_block = block(&self.effective, g.dev_start, g.dev_len, r0, rl);
-                let partial = linalg::matmul_nt(&x_block, &m_block)
+            self.tiles().collect(),
+            |_, tile: Tile| {
+                let x_block = cols_slice(x, tile.row_start, tile.row_len);
+                let partial = linalg::matmul_nt(&x_block, &tile.read(g))
                     .expect("tile dimensions agree by construction");
-                (g, partial)
+                (tile.group, partial)
             },
-            |_, (g, partial)| {
+            |_, (group, partial)| {
                 for b in 0..batch {
-                    let dst = &mut raw_data[b * nd + g.dev_start..b * nd + g.dev_start + g.dev_len];
-                    for (d, &p) in dst.iter_mut().zip(&partial.data()[b * g.dev_len..]) {
+                    let dst = &mut raw_data[b * nd + group.dev_start..][..group.dev_len];
+                    for (d, &p) in dst.iter_mut().zip(&partial.data()[b * group.dev_len..]) {
                         *d += p;
                     }
                 }
@@ -875,111 +538,73 @@ impl TiledCrossbar {
         );
         raw
     }
+}
 
-    /// Raw analog column outputs for a 1-D input of length `n_in()` —
-    /// what the ADCs digitize across all tiles, before the periphery
-    /// combine, accumulated digitally across grid rows.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error on input-length mismatch, or
-    /// [`MappingError::NonFiniteInput`] if `x` contains NaN/Inf.
-    pub fn mvm_raw(&self, x: &Tensor) -> Result<Tensor, MappingError> {
-        if x.ndim() != 1 || x.len() != self.grid.n_in() {
-            return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
-                "tiled mvm",
-                format!(
-                    "expected 1-D input of length {}, got {:?}",
-                    self.grid.n_in(),
-                    x.shape()
-                ),
-            )));
-        }
-        if !x.data().iter().all(|v| v.is_finite()) {
-            return Err(MappingError::NonFiniteInput { op: "mvm_raw" });
-        }
-        let x2 = Tensor::from_vec(x.data().to_vec(), &[1, x.len()]).expect("reshape to batch 1");
-        let raw = self.raw_batch(&x2);
-        Ok(
-            Tensor::from_vec(raw.data().to_vec(), &[self.grid.nd_total()])
-                .expect("flatten batch 1"),
-        )
-    }
+/// Copies rows `[start, start + len)` of a 2-D tensor into a new tensor.
+pub(crate) fn rows_slice(t: &Tensor, start: usize, len: usize) -> Tensor {
+    block(t, start, len, 0, t.shape()[1])
+}
 
-    /// Signed MVM through the tile grid: each tile produces partial
-    /// column currents; partial sums accumulate digitally across tile
-    /// rows, then the per-group periphery combine produces the signed
-    /// outputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if `x` is not 1-D of length `n_in()`.
-    pub fn mvm_signed(&self, x: &Tensor) -> Result<Tensor, MappingError> {
-        let raw = self.mvm_raw(x)?;
-        linalg::matvec(self.periphery.matrix(), &raw).map_err(MappingError::from)
-    }
+/// Copies columns `[start, start + len)` of a 2-D tensor into a new tensor.
+pub(crate) fn cols_slice(t: &Tensor, start: usize, len: usize) -> Tensor {
+    let rows = t.shape()[0];
+    block(t, 0, rows, start, len)
+}
 
-    /// Batched signed MVM: `X (batch × N_I) → Y (batch × N_O)`, with the
-    /// per-tile partial products fanned across the compute pool.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if `x` is not `(batch, n_in())`, or
-    /// [`MappingError::NonFiniteInput`] if `x` contains NaN/Inf.
-    pub fn forward(&self, x: &Tensor) -> Result<Tensor, MappingError> {
-        if x.ndim() != 2 || x.shape()[1] != self.grid.n_in() {
-            return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
-                "tiled forward",
-                format!(
-                    "expected (batch, {}) input, got {:?}",
-                    self.grid.n_in(),
-                    x.shape()
-                ),
-            )));
-        }
-        if !x.data().iter().all(|v| v.is_finite()) {
-            return Err(MappingError::NonFiniteInput { op: "forward" });
-        }
-        let raw = self.raw_batch(x);
-        self.periphery.combine(&raw)
+/// Extracts the `(r0..r0+rl, c0..c0+cl)` block of a 2-D tensor.
+fn block(t: &Tensor, r0: usize, rl: usize, c0: usize, cl: usize) -> Tensor {
+    let cols = t.shape()[1];
+    let mut out = Tensor::zeros(&[rl, cl]);
+    for r in 0..rl {
+        let src = &t.data()[(r0 + r) * cols + c0..][..cl];
+        out.data_mut()[r * cl..(r + 1) * cl].copy_from_slice(src);
     }
+    out
+}
 
-    /// Monte-Carlo fan-out: evaluates `trials` freshly re-programmed
-    /// copies of this grid on the same batch `X (batch × N_I)`. Trial `t`
-    /// behaves exactly like
-    /// `{ let mut c = self.clone(); c.resample_variation(&mut rng.fork(t)); c.forward(x) }`
-    /// run serially in trial order — per-trial RNG streams are forked
-    /// from `rng` up front, so the returned outputs are bitwise identical
-    /// for any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first trial's error on input-shape or
-    /// non-finite-input failures (all trials share `x`).
-    pub fn variation_trials(
-        &self,
-        x: &Tensor,
-        trials: usize,
-        rng: &mut XorShiftRng,
-    ) -> Result<Vec<Tensor>, MappingError> {
-        let trial_rngs: Vec<XorShiftRng> = (0..trials).map(|t| rng.fork(t as u64)).collect();
-        backend::parallel_map(trial_rngs, |_, mut trial_rng| {
-            let mut chip = self.clone();
-            chip.resample_variation(&mut trial_rng);
-            chip.forward(x)
-        })
-        .into_iter()
-        .collect()
+/// Writes `src` into the `(r0.., c0..)` block of `dst`.
+fn write_block(dst: &mut Tensor, r0: usize, c0: usize, src: &Tensor) {
+    let cols = dst.shape()[1];
+    let (srl, scl) = (src.shape()[0], src.shape()[1]);
+    for r in 0..srl {
+        dst.data_mut()[(r0 + r) * cols + c0..][..scl]
+            .copy_from_slice(&src.data()[r * scl..(r + 1) * scl]);
     }
+}
+
+/// The `(r0..r0+rl, c0..c0+cl)` sub-map of a fault map, re-indexed from
+/// `(0, 0)`.
+fn sub_map(faults: &FaultMap, r0: usize, rl: usize, c0: usize, cl: usize) -> FaultMap {
+    let mut sub = FaultMap::pristine(rl, cl);
+    for r in 0..rl {
+        for c in 0..cl {
+            if let Some(kind) = faults.get(r0 + r, c0 + c) {
+                sub.set(r, c, kind);
+            }
+        }
+    }
+    sub
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::CrossbarArray;
+    use xbar_tensor::rng::XorShiftRng;
 
     fn rng() -> XorShiftRng {
         XorShiftRng::new(171)
+    }
+
+    /// Programs `w` onto `tile`-bounded arrays of `device`.
+    fn tiled(
+        w: &Tensor,
+        mapping: Mapping,
+        device: DeviceConfig,
+        tile: TileShape,
+        rng: &mut XorShiftRng,
+    ) -> Result<CrossbarArray, MappingError> {
+        CrossbarArray::program_signed(w, mapping, device.with_tile_shape(Some(tile)), rng)
     }
 
     #[test]
@@ -990,7 +615,7 @@ mod tests {
         for mapping in Mapping::ALL {
             let mono =
                 CrossbarArray::program_signed(&w, mapping, DeviceConfig::ideal(), &mut r).unwrap();
-            let tiled = TiledCrossbar::program_signed(
+            let tiled = tiled(
                 &w,
                 mapping,
                 DeviceConfig::ideal(),
@@ -1014,7 +639,7 @@ mod tests {
         for mapping in Mapping::ALL {
             let mono =
                 CrossbarArray::program_signed(&w, mapping, DeviceConfig::ideal(), &mut r).unwrap();
-            let tiled = TiledCrossbar::program_signed(
+            let tiled = tiled(
                 &w,
                 mapping,
                 DeviceConfig::ideal(),
@@ -1035,7 +660,7 @@ mod tests {
         let mut r = rng();
         let w = Tensor::rand_uniform(&[40, 70], -0.01, 0.01, &mut r);
         let x = Tensor::rand_uniform(&[9, 70], -1.0, 1.0, &mut r);
-        let tiled = TiledCrossbar::program_signed(
+        let tiled = tiled(
             &w,
             Mapping::Acm,
             DeviceConfig::ideal(),
@@ -1056,7 +681,7 @@ mod tests {
         let w = Tensor::rand_uniform(&[20, 50], -0.01, 0.01, &mut r);
         // ACM on 16x16 tiles: 15 outputs per group -> ceil(20/15) = 2
         // groups; ceil(50/16) = 4 row blocks.
-        let t = TiledCrossbar::program_signed(
+        let t = tiled(
             &w,
             Mapping::Acm,
             DeviceConfig::ideal(),
@@ -1064,8 +689,8 @@ mod tests {
             &mut r,
         )
         .unwrap();
-        assert_eq!(t.tile_grid(), (4, 2));
-        assert_eq!(t.num_tiles(), 8);
+        assert_eq!(t.grid().grid(), (4, 2));
+        assert_eq!(t.grid().num_tiles(), 8);
         assert_eq!(t.n_in(), 50);
         assert_eq!(t.n_out(), 20);
         // Per-group ND accounting: 20 outputs + one reference per group.
@@ -1078,7 +703,7 @@ mod tests {
         let mut r = rng();
         let w = Tensor::rand_uniform(&[60, 100], -0.002, 0.002, &mut r);
         let tiles = |mapping| {
-            TiledCrossbar::program_signed(
+            tiled(
                 &w,
                 mapping,
                 DeviceConfig::ideal(),
@@ -1086,12 +711,13 @@ mod tests {
                 &mut XorShiftRng::new(1),
             )
             .unwrap()
+            .grid()
             .num_tiles()
         };
         assert!(tiles(Mapping::DoubleElement) >= tiles(Mapping::Acm));
         let w2 = Tensor::rand_uniform(&[100, 100], -0.002, 0.002, &mut r);
         let tiles2 = |mapping| {
-            TiledCrossbar::program_signed(
+            tiled(
                 &w2,
                 mapping,
                 DeviceConfig::ideal(),
@@ -1099,6 +725,7 @@ mod tests {
                 &mut XorShiftRng::new(2),
             )
             .unwrap()
+            .grid()
             .num_tiles()
         };
         // DE fits 64 outputs per 128-wide tile -> 2 groups; ACM fits 127 -> 1.
@@ -1110,7 +737,7 @@ mod tests {
         let mut r = rng();
         let w = Tensor::rand_uniform(&[8, 20], -0.02, 0.02, &mut r);
         let dev = DeviceConfig::quantized_linear(4).with_variation_sigma(0.05);
-        let tiled = TiledCrossbar::program_signed(
+        let tiled = tiled(
             &w,
             Mapping::DoubleElement,
             dev,
@@ -1133,9 +760,7 @@ mod tests {
         let mut r = rng();
         let w = Tensor::rand_uniform(&[12, 24], -0.02, 0.02, &mut r);
         let dev = DeviceConfig::ideal().with_faults(FaultModel::uniform(0.05));
-        let tiled =
-            TiledCrossbar::program_signed(&w, Mapping::Acm, dev, TileShape::new(8, 8), &mut r)
-                .unwrap();
+        let tiled = tiled(&w, Mapping::Acm, dev, TileShape::new(8, 8), &mut r).unwrap();
         let stuck = tiled.fault_map().num_stuck();
         assert!(stuck > 0, "5% rate across the grid should hit");
         assert_eq!(tiled.programming_report().num_stuck(), stuck);
@@ -1160,7 +785,7 @@ mod tests {
         let mut r = rng();
         let w = Tensor::rand_uniform(&[12, 24], -0.02, 0.02, &mut r);
         let dev = DeviceConfig::ideal().with_faults(FaultModel::uniform(0.02));
-        let naive = TiledCrossbar::program_signed(
+        let naive = tiled(
             &w,
             Mapping::Acm,
             dev,
@@ -1168,18 +793,17 @@ mod tests {
             &mut XorShiftRng::new(5),
         )
         .unwrap();
-        let (remapped, report) = TiledCrossbar::program_signed_remapped(
+        let (remapped, report) = CrossbarArray::program_signed_remapped(
             &w,
             Mapping::Acm,
-            dev,
-            TileShape::new(8, 8),
+            dev.with_tile_shape(Some(TileShape::new(8, 8))),
             &mut XorShiftRng::new(5),
         )
         .unwrap();
         // Same seed -> same per-tile defect deal.
         assert_eq!(naive.fault_map(), remapped.fault_map());
         assert!(naive.fault_map().num_stuck() > 0);
-        let err = |xb: &TiledCrossbar| xb.effective_weights().sub(&w).unwrap().norm_sq().sqrt();
+        let err = |xb: &CrossbarArray| xb.effective_weights().sub(&w).unwrap().norm_sq().sqrt();
         assert!(
             err(&remapped) < err(&naive) * 0.5,
             "remapped error {} vs naive {}",
@@ -1198,7 +822,7 @@ mod tests {
         // faulty remapped grid against the same grid with no fault model.
         let mut r = rng();
         let w = Tensor::rand_uniform(&[12, 8], -0.02, 0.02, &mut r);
-        let clean = TiledCrossbar::program_signed(
+        let clean = tiled(
             &w,
             Mapping::Acm,
             DeviceConfig::ideal(),
@@ -1207,11 +831,10 @@ mod tests {
         )
         .unwrap();
         let dev = DeviceConfig::ideal().with_faults(FaultModel::uniform(0.04));
-        let (remapped, _) = TiledCrossbar::program_signed_remapped(
+        let (remapped, _) = CrossbarArray::program_signed_remapped(
             &w,
             Mapping::Acm,
-            dev,
-            TileShape::new(8, 8),
+            dev.with_tile_shape(Some(TileShape::new(8, 8))),
             &mut XorShiftRng::new(7),
         )
         .unwrap();
@@ -1245,9 +868,7 @@ mod tests {
         let dev = DeviceConfig::ideal()
             .with_faults(FaultModel::uniform(0.05))
             .with_variation_sigma(0.05);
-        let mut tiled =
-            TiledCrossbar::program_signed(&w, Mapping::Acm, dev, TileShape::new(8, 8), &mut r)
-                .unwrap();
+        let mut tiled = tiled(&w, Mapping::Acm, dev, TileShape::new(8, 8), &mut r).unwrap();
         let map_before = tiled.fault_map().clone();
         let prog_before = tiled.conductances().clone();
         let targets_before = tiled.targets().clone();
@@ -1272,9 +893,7 @@ mod tests {
         let mut r = rng();
         let w = Tensor::rand_uniform(&[10, 20], -0.02, 0.02, &mut r);
         let dev = DeviceConfig::quantized_linear(4).with_variation_sigma(0.05);
-        let tiled =
-            TiledCrossbar::program_signed(&w, Mapping::Acm, dev, TileShape::new(8, 8), &mut r)
-                .unwrap();
+        let tiled = tiled(&w, Mapping::Acm, dev, TileShape::new(8, 8), &mut r).unwrap();
         let x = Tensor::rand_uniform(&[3, 20], -1.0, 1.0, &mut r);
         let mut rng_a = XorShiftRng::new(99);
         let got = tiled.variation_trials(&x, 4, &mut rng_a).unwrap();
@@ -1298,11 +917,10 @@ mod tests {
         for mapping in Mapping::ALL {
             let grid = TileGrid::new(13, 10, mapping, Some(TileShape::new(8, 8))).unwrap();
             let m = grid.decompose(&w, DeviceConfig::ideal().range()).unwrap();
-            let tiled = TiledCrossbar::program_conductances(
+            let tiled = CrossbarArray::program_conductances(
                 &m,
                 mapping,
-                DeviceConfig::ideal(),
-                TileShape::new(8, 8),
+                DeviceConfig::ideal().with_tile_shape(Some(TileShape::new(8, 8))),
                 &mut r,
             )
             .unwrap();
@@ -1312,35 +930,13 @@ mod tests {
         // An inconsistent stacked row count is rejected (ACM on 8-wide
         // tiles: nd = n_out + ceil(n_out/7); nd = 9 has no solution).
         let bad = Tensor::zeros(&[9, 10]);
-        assert!(TiledCrossbar::program_conductances(
+        assert!(CrossbarArray::program_conductances(
             &bad,
             Mapping::Acm,
-            DeviceConfig::ideal(),
-            TileShape::new(8, 8),
-            &mut r,
+            DeviceConfig::ideal().with_tile_shape(Some(TileShape::new(8, 8))),
+            &mut r
         )
         .is_err());
-    }
-
-    #[test]
-    fn rejects_bad_input_length() {
-        let mut r = rng();
-        let w = Tensor::rand_uniform(&[4, 10], -0.05, 0.05, &mut r);
-        let t = TiledCrossbar::program_signed(
-            &w,
-            Mapping::Acm,
-            DeviceConfig::ideal(),
-            TileShape::new(4, 4),
-            &mut r,
-        )
-        .unwrap();
-        assert!(t.mvm_signed(&Tensor::zeros(&[11])).is_err());
-        assert!(t.forward(&Tensor::zeros(&[2, 11])).is_err());
-        let bad = Tensor::from_vec(vec![f32::NAN; 10], &[10]).unwrap();
-        assert!(matches!(
-            t.mvm_raw(&bad),
-            Err(MappingError::NonFiniteInput { .. })
-        ));
     }
 
     #[test]
@@ -1383,6 +979,21 @@ mod tests {
     }
 
     #[test]
+    fn rejects_bad_input_length() {
+        let mut r = rng();
+        let w = Tensor::rand_uniform(&[4, 10], -0.05, 0.05, &mut r);
+        let dev = DeviceConfig::ideal();
+        let t = tiled(&w, Mapping::Acm, dev, TileShape::new(4, 4), &mut r).unwrap();
+        assert!(t.mvm_signed(&Tensor::zeros(&[11])).is_err());
+        assert!(t.forward(&Tensor::zeros(&[2, 11])).is_err());
+        let bad = Tensor::from_vec(vec![f32::NAN; 10], &[10]).unwrap();
+        assert!(matches!(
+            t.mvm_raw(&bad),
+            Err(MappingError::NonFiniteInput { .. })
+        ));
+    }
+
+    #[test]
     #[should_panic(expected = "positive")]
     fn tile_shape_rejects_zero() {
         let _ = TileShape::new(0, 4);
@@ -1392,15 +1003,9 @@ mod tests {
     fn tiled_parasitics_off_effective_is_bitwise_programmed() {
         let mut r = rng();
         let w = Tensor::rand_uniform(&[12, 30], -0.02, 0.02, &mut r);
+        let dev = DeviceConfig::quantized_linear(4).with_variation_sigma(0.03);
         for mapping in Mapping::ALL {
-            let tiled = TiledCrossbar::program_signed(
-                &w,
-                mapping,
-                DeviceConfig::quantized_linear(4).with_variation_sigma(0.03),
-                TileShape::new(8, 8),
-                &mut r,
-            )
-            .unwrap();
+            let tiled = tiled(&w, mapping, dev, TileShape::new(8, 8), &mut r).unwrap();
             assert_eq!(
                 tiled.effective_conductances().data(),
                 tiled.conductances().data(),
@@ -1420,7 +1025,7 @@ mod tests {
         let dev = DeviceConfig::ideal().with_line_resistance(LineResistanceModel::new(0.01));
         let ideal = linalg::matvec(&w, &x).unwrap();
         let err = |tile: TileShape| {
-            let t = TiledCrossbar::program_signed(&w, Mapping::Acm, dev, tile, &mut rng()).unwrap();
+            let t = tiled(&w, Mapping::Acm, dev, tile, &mut rng()).unwrap();
             t.mvm_signed(&x).unwrap().sub(&ideal).unwrap().abs_max()
         };
         assert!(err(TileShape::new(8, 8)) < err(TileShape::new(128, 128)));
@@ -1430,7 +1035,7 @@ mod tests {
     fn tiled_perm_sorts_each_group_and_stays_exact() {
         let mut r = rng();
         let w = Tensor::rand_uniform(&[13, 21], -0.02, 0.02, &mut r);
-        let tiled = TiledCrossbar::program_signed(
+        let tiled = tiled(
             &w,
             Mapping::Perm,
             DeviceConfig::ideal(),
@@ -1464,7 +1069,7 @@ mod tests {
         let mut r = rng();
         let w = Tensor::rand_uniform(&[12, 24], -0.02, 0.02, &mut r);
         let dev = DeviceConfig::ideal().with_faults(FaultModel::uniform(0.02));
-        let naive = TiledCrossbar::program_signed(
+        let naive = tiled(
             &w,
             Mapping::Perm,
             dev,
@@ -1472,16 +1077,15 @@ mod tests {
             &mut XorShiftRng::new(5),
         )
         .unwrap();
-        let (remapped, report) = TiledCrossbar::program_signed_remapped(
+        let (remapped, report) = CrossbarArray::program_signed_remapped(
             &w,
             Mapping::Perm,
-            dev,
-            TileShape::new(8, 8),
+            dev.with_tile_shape(Some(TileShape::new(8, 8))),
             &mut XorShiftRng::new(5),
         )
         .unwrap();
         assert!(naive.fault_map().num_stuck() > 0);
-        let err = |xb: &TiledCrossbar| xb.effective_weights().sub(&w).unwrap().norm_sq().sqrt();
+        let err = |xb: &CrossbarArray| xb.effective_weights().sub(&w).unwrap().norm_sq().sqrt();
         assert!(
             err(&remapped) < err(&naive),
             "null-space slack survives the permutation"

@@ -15,6 +15,21 @@ pub trait StateVisitor {
     /// running statistics).
     fn tensor(&mut self, name: &str, value: &mut Tensor);
 
+    /// Visits a tensor component whose contents must satisfy `check`
+    /// beyond their shape (a permutation, an encoded state machine). A
+    /// restore rejects a snapshot whose tensor fails the check before
+    /// anything is applied; every other visitor treats the component as
+    /// a plain [`StateVisitor::tensor`].
+    fn checked_tensor(
+        &mut self,
+        name: &str,
+        value: &mut Tensor,
+        check: &dyn Fn(&Tensor) -> Result<(), String>,
+    ) {
+        let _ = check;
+        self.tensor(name, value);
+    }
+
     /// Visits a named deterministic RNG stream (dropout masks, stochastic
     /// pulse rounding).
     fn rng(&mut self, name: &str, value: &mut XorShiftRng);

@@ -2,11 +2,11 @@
 //! the paper's `W = S · M` factorization.
 
 use xbar_core::{
-    checksum_residual, magnitude_permutation, quantized_raw_batch, remap_for_faults, HealthAction,
-    HealthMonitor, Mapping, PeripheryMatrix, QuantReadout, RepairAttempt, RepairPolicy,
-    RepairStage, ScrubReport, TileGrid, TileHealth,
+    checksum_residual, magnitude_permutation, permute_rows, quantized_raw_batch, remap_for_faults,
+    HealthAction, HealthMonitor, Mapping, PeripheryMatrix, QuantReadout, RepairAttempt,
+    RepairPolicy, RepairStage, ScrubReport, TileGrid, TileHealth,
 };
-use xbar_device::{ConductanceRange, DeviceConfig, FaultMap};
+use xbar_device::{ConductanceRange, DeviceConfig};
 use xbar_tensor::rng::XorShiftRng;
 use xbar_tensor::{linalg, qmatmul_nt, QuantizedTensor, Tensor};
 
@@ -204,19 +204,19 @@ impl MappedParam {
                     Mapping::DoubleElement | Mapping::Acm => w_lim / span,
                 };
                 let wc = w_init.scale(1.0 / alpha); // conductance units
-                                                    // Lay the conductances out on the device's tile grid: each
-                                                    // column group is an independent physical sub-array with
-                                                    // its own stencil (and reference column), initialised from
-                                                    // its own row-slice of the scaled weights.
+
+                // Lay the conductances out on the device's tile grid: each
+                // column group is an independent physical sub-array with
+                // its own stencil (and reference column), initialised from
+                // its own row-slice of the scaled weights.
                 let grid = TileGrid::new(n_out, n_in, mapping, device.tile_shape())
                     .map_err(NnError::Mapping)?;
                 let mut shadow = Tensor::zeros(&[grid.nd_total(), n_in]);
                 for g in grid.col_groups() {
-                    let wc_group = rows_slice(&wc, g.out_start, g.out_len);
-                    let m_group = init_conductances(&wc_group, mapping, &device);
-                    let cols = n_in;
-                    shadow.data_mut()[g.dev_start * cols..(g.dev_start + g.dev_len) * cols]
-                        .copy_from_slice(m_group.data());
+                    g.write_dev_rows(
+                        &mut shadow,
+                        &init_conductances(&g.out_rows(&wc), mapping, &device),
+                    );
                 }
                 // Perm: fix each group's physical row order from the
                 // initial conductances (large mid-deviation rows first,
@@ -228,11 +228,9 @@ impl MappedParam {
                     let mid = range.midpoint();
                     let mut perm = vec![0.0f32; grid.nd_total()];
                     for g in grid.col_groups() {
-                        let group = rows_slice(&shadow, g.dev_start, g.dev_len);
+                        let group = g.dev_rows(&shadow);
                         let local = magnitude_permutation(&group, mid);
-                        let permuted = permute_rows(&group, &local);
-                        shadow.data_mut()[g.dev_start * n_in..(g.dev_start + g.dev_len) * n_in]
-                            .copy_from_slice(permuted.data());
+                        g.write_dev_rows(&mut shadow, &permute_rows(&group, &local));
                         for (p, &logical) in local.iter().enumerate() {
                             perm[g.dev_start + p] = (g.dev_start + logical) as f32;
                         }
@@ -502,7 +500,13 @@ impl MappedParam {
                     Some(noisy) => noisy.clone(),
                     None => self.quantized_shadow(),
                 };
-                let raw = quantized_raw_batch(&g, self.grid.as_ref(), &q, mode, x);
+                let raw = quantized_raw_batch(
+                    &g,
+                    self.grid.as_ref().expect("mapped parameters carry a grid"),
+                    &q,
+                    mode,
+                    x,
+                );
                 let s = self
                     .periphery
                     .as_ref()
@@ -562,8 +566,7 @@ impl MappedParam {
                     Mapping::Acm => {
                         let mut pre = Tensor::zeros(&[self.n_out, self.n_in]);
                         for g in grid.col_groups() {
-                            let g_slice = rows_slice(grad_w, g.out_start, g.out_len);
-                            let solved = solve_acm_gram(&g_slice);
+                            let solved = solve_acm_gram(&g.out_rows(grad_w));
                             pre.data_mut()
                                 [g.out_start * self.n_in..(g.out_start + g.out_len) * self.n_in]
                                 .copy_from_slice(solved.data());
@@ -738,13 +741,6 @@ impl MappedParam {
             // sub-step compensations.
             let mut merged: Option<xbar_core::RemapReport> = None;
             for g in grid.col_groups() {
-                let mut group_map = xbar_device::FaultMap::pristine(g.dev_len, n_in);
-                for (row, col, kind) in map.iter_stuck() {
-                    if (g.dev_start..g.dev_start + g.dev_len).contains(&row) {
-                        group_map.set(row - g.dev_start, col, kind);
-                    }
-                }
-                let group_targets = rows_slice(&targets, g.dev_start, g.dev_len);
                 let mut group_periphery = grid.mapping().periphery(g.out_len);
                 if let Some(perm) = &self.perm {
                     // The stored rows are in physical order; compensate
@@ -752,14 +748,13 @@ impl MappedParam {
                     group_periphery = group_periphery.permuted(&group_perm(perm, g));
                 }
                 let (shifted, report) = xbar_core::remap_for_faults(
-                    &group_targets,
+                    &g.dev_rows(&targets),
                     &group_periphery,
-                    &group_map,
+                    &g.faults(&map),
                     range,
                 )
                 .map_err(NnError::Mapping)?;
-                targets.data_mut()[g.dev_start * n_in..(g.dev_start + g.dev_len) * n_in]
-                    .copy_from_slice(shifted.data());
+                g.write_dev_rows(&mut targets, &shifted);
                 merged = Some(match merged {
                     Some(acc) => acc.merge(&report),
                     None => report,
@@ -935,111 +930,86 @@ impl MappedParam {
         // Noiseless scrub programming consumes no randomness; the stream
         // exists only to satisfy the programming API.
         let mut rng = XorShiftRng::new(SCRUB_RNG_SEED);
-        let mut tile_idx = 0usize;
-        for &(r0, rl) in grid.row_blocks() {
-            for g in grid.col_groups() {
-                let tf = tile_fault_map(&faults, g, r0, rl);
-                let t_block = block_slice(&targets, g.dev_start, g.dev_len, r0, rl);
-                let q_block = block_slice(&q, g.dev_start, g.dev_len, r0, rl);
-                let (prog, prep) = programming.program_tensor(
-                    &t_block,
-                    &xbar_device::VariationModel::none(),
-                    range,
-                    Some(&tf),
-                    &mut rng,
-                );
-                report.exhausted_cells += prep.num_unconverged();
-                let mut serve = prog;
-                if detect {
-                    let residual = checksum_residual(&serve, &t_block);
-                    match monitor.observe(tile_idx, residual, epoch) {
-                        HealthAction::Detected => report.detections += 1,
-                        HealthAction::Repair(stage) => {
-                            // The remap rungs revise this tile's block of
-                            // the persistent shift tensor; targets are then
-                            // recomputed from the `clamp(q + shift)` formula
-                            // so a checkpoint rebuild reproduces the same
-                            // f32 operations bitwise.
-                            let weight_residual = match stage {
-                                RepairStage::Reprogram => None,
-                                RepairStage::Remap | RepairStage::FullRemap => {
-                                    let base = if stage == RepairStage::FullRemap {
-                                        q_block.clone()
-                                    } else {
-                                        t_block.clone()
-                                    };
-                                    let stencil = PeripheryMatrix::try_new(block_slice(
-                                        periphery.matrix(),
-                                        g.out_start,
-                                        g.out_len,
-                                        g.dev_start,
-                                        g.dev_len,
-                                    ))
+        for tile in grid.tiles() {
+            let tf = tile.faults(&faults);
+            let t_block = tile.read(&targets);
+            let q_block = tile.read(&q);
+            let (prog, prep) = programming.program_tensor(
+                &t_block,
+                &xbar_device::VariationModel::none(),
+                range,
+                Some(&tf),
+                &mut rng,
+            );
+            report.exhausted_cells += prep.num_unconverged();
+            let mut serve = prog;
+            if detect {
+                let residual = checksum_residual(&serve, &t_block);
+                match monitor.observe(tile.index, residual, epoch) {
+                    HealthAction::Detected => report.detections += 1,
+                    HealthAction::Repair(stage) => {
+                        // The remap rungs revise this tile's block of the
+                        // persistent shift tensor; targets are then
+                        // recomputed from the `clamp(q + shift)` formula so
+                        // a checkpoint rebuild reproduces the same f32
+                        // operations bitwise.
+                        let weight_residual = match stage {
+                            RepairStage::Reprogram => None,
+                            RepairStage::Remap | RepairStage::FullRemap => {
+                                let base = if stage == RepairStage::FullRemap {
+                                    &q_block
+                                } else {
+                                    &t_block
+                                };
+                                let stencil =
+                                    tile.group.stencil(&periphery).map_err(NnError::Mapping)?;
+                                let (shifted, rr) = remap_for_faults(base, &stencil, &tf, range)
                                     .map_err(NnError::Mapping)?;
-                                    let (shifted, rr) =
-                                        remap_for_faults(&base, &stencil, &tf, range)
-                                            .map_err(NnError::Mapping)?;
-                                    let shift_block =
-                                        shifted.sub(&q_block).map_err(NnError::Shape)?;
-                                    write_block_slice(
-                                        &mut scrub.shift,
-                                        g.dev_start,
-                                        r0,
-                                        &shift_block,
-                                    );
-                                    Some(rr.residual_after())
-                                }
-                            };
-                            let t_block = {
-                                let shift_block =
-                                    block_slice(&scrub.shift, g.dev_start, g.dev_len, r0, rl);
-                                let mut t = q_block.add(&shift_block).map_err(NnError::Shape)?;
-                                t.map_inplace(|v| range.clamp(v));
-                                t
-                            };
-                            let (prog2, prep2) = programming.program_tensor(
-                                &t_block,
-                                &xbar_device::VariationModel::none(),
-                                range,
-                                Some(&tf),
-                                &mut rng,
-                            );
-                            report.exhausted_cells += prep2.num_unconverged();
-                            let residual_after = checksum_residual(&prog2, &t_block);
-                            let healed = match weight_residual {
-                                Some(wr) => wr <= policy.weight_tolerance,
-                                None => residual_after <= policy.residual_threshold,
-                            };
-                            let state_after = monitor.record_attempt(tile_idx, epoch, healed);
-                            serve = prog2;
-                            if state_after == TileHealth::Quarantined {
-                                // Exact digital fallback: the tile's partial
-                                // product comes from the ideal quantized
-                                // conductances; its compensation is cleared.
-                                write_block_slice(
-                                    &mut scrub.shift,
-                                    g.dev_start,
-                                    r0,
-                                    &Tensor::zeros(&[g.dev_len, rl]),
-                                );
-                                serve = q_block.clone();
+                                let shift_block = shifted.sub(&q_block).map_err(NnError::Shape)?;
+                                tile.write(&mut scrub.shift, &shift_block);
+                                Some(rr.residual_after())
                             }
-                            report.repairs.push(RepairAttempt {
-                                epoch,
-                                tile: tile_idx,
-                                stage,
-                                residual_before: residual,
-                                residual_after,
-                                healed,
-                            });
+                        };
+                        let t_block = scrub_targets(&q_block, &tile.read(&scrub.shift), range);
+                        let (prog2, prep2) = programming.program_tensor(
+                            &t_block,
+                            &xbar_device::VariationModel::none(),
+                            range,
+                            Some(&tf),
+                            &mut rng,
+                        );
+                        report.exhausted_cells += prep2.num_unconverged();
+                        let residual_after = checksum_residual(&prog2, &t_block);
+                        let healed = match weight_residual {
+                            Some(wr) => wr <= policy.weight_tolerance,
+                            None => residual_after <= policy.residual_threshold,
+                        };
+                        let state_after = monitor.record_attempt(tile.index, epoch, healed);
+                        serve = prog2;
+                        if state_after == TileHealth::Quarantined {
+                            // Exact digital fallback: the tile's partial
+                            // product comes from the ideal quantized
+                            // conductances; its compensation is cleared.
+                            tile.write(
+                                &mut scrub.shift,
+                                &Tensor::zeros(&[tile.group.dev_len, tile.row_len]),
+                            );
+                            serve = q_block.clone();
                         }
-                        HealthAction::AlreadyQuarantined => serve = q_block.clone(),
-                        HealthAction::Nothing | HealthAction::Backoff => {}
+                        report.repairs.push(RepairAttempt {
+                            epoch,
+                            tile: tile.index,
+                            stage,
+                            residual_before: residual,
+                            residual_after,
+                            healed,
+                        });
                     }
+                    HealthAction::AlreadyQuarantined => serve = q_block.clone(),
+                    HealthAction::Nothing | HealthAction::Backoff => {}
                 }
-                write_block_slice(&mut served, g.dev_start, r0, &serve);
-                tile_idx += 1;
             }
+            tile.write(&mut served, &serve);
         }
         report.quarantined_total = monitor.num_quarantined();
         report.quarantined_now = report.quarantined_total - quarantined_before;
@@ -1079,27 +1049,21 @@ impl MappedParam {
             .expect("scrub health tensor holds monitor-encoded state");
         let mut served = Tensor::zeros(&[nd, n_in]);
         let mut rng = XorShiftRng::new(SCRUB_RNG_SEED);
-        let mut tile_idx = 0usize;
-        for &(r0, rl) in grid.row_blocks() {
-            for g in grid.col_groups() {
-                let serve = if monitor.state(tile_idx) == TileHealth::Quarantined {
-                    block_slice(&q, g.dev_start, g.dev_len, r0, rl)
-                } else {
-                    let tf = tile_fault_map(&faults, g, r0, rl);
-                    let t_block = block_slice(&targets, g.dev_start, g.dev_len, r0, rl);
-                    programming
-                        .program_tensor(
-                            &t_block,
-                            &xbar_device::VariationModel::none(),
-                            range,
-                            Some(&tf),
-                            &mut rng,
-                        )
-                        .0
-                };
-                write_block_slice(&mut served, g.dev_start, r0, &serve);
-                tile_idx += 1;
-            }
+        for tile in grid.tiles() {
+            let serve = if monitor.state(tile.index) == TileHealth::Quarantined {
+                tile.read(&q)
+            } else {
+                programming
+                    .program_tensor(
+                        &tile.read(&targets),
+                        &xbar_device::VariationModel::none(),
+                        range,
+                        Some(&tile.faults(&faults)),
+                        &mut rng,
+                    )
+                    .0
+            };
+            tile.write(&mut served, &serve);
         }
         self.variation_override = Some(served);
         self.fault_map = Some(faults);
@@ -1126,22 +1090,19 @@ impl MappedParam {
             return false;
         };
         let q = self.quantized_shadow();
-        let mut tile_idx = 0usize;
-        for &(r0, rl) in grid.row_blocks() {
-            for g in grid.col_groups() {
-                if monitor.state(tile_idx) == TileHealth::Quarantined {
-                    for row in g.dev_start..g.dev_start + g.dev_len {
-                        for col in r0..r0 + rl {
-                            if served.at(&[row, col]).to_bits() != q.at(&[row, col]).to_bits() {
-                                return false;
-                            }
-                        }
-                    }
-                }
-                tile_idx += 1;
-            }
-        }
-        true
+        grid.tiles()
+            .filter(|tile| monitor.state(tile.index) == TileHealth::Quarantined)
+            .all(|tile| {
+                let g = tile.group;
+                (g.dev_start..g.dev_start + g.dev_len).all(|row| {
+                    let start = row * self.n_in + tile.row_start;
+                    let cells = start..start + tile.row_len;
+                    served.data()[cells.clone()]
+                        .iter()
+                        .zip(&q.data()[cells])
+                        .all(|(s, i)| s.to_bits() == i.to_bits())
+                })
+            })
     }
 
     /// Visits the accumulated shadow-gradient tensor — the flatten/scatter
@@ -1185,8 +1146,8 @@ impl MappedParam {
         // travel with them. After a restore pass may have overwritten it,
         // rebuild the periphery so the stencil always matches.
         if let Some(perm) = &mut self.perm {
-            visitor.tensor(&format!("{prefix}perm"), perm);
             let grid = self.grid.as_ref().expect("Perm parameters carry a grid");
+            visitor.checked_tensor(&format!("{prefix}perm"), perm, &|p| check_perm(grid, p));
             self.periphery = Some(periphery_for_perm(grid, perm));
         }
         // Self-healing state travels with the parameter; the served
@@ -1194,8 +1155,19 @@ impl MappedParam {
         // `rebuild_scrub_override`. Absent when scrubbing is inactive, so
         // pre-existing checkpoints keep their exact component list.
         if let Some(scrub) = &mut self.scrub {
-            visitor.tensor(&format!("{prefix}scrub_epoch"), &mut scrub.epoch);
-            visitor.tensor(&format!("{prefix}scrub_health"), &mut scrub.health);
+            visitor.checked_tensor(&format!("{prefix}scrub_epoch"), &mut scrub.epoch, &|e| {
+                let epoch = e.data()[0];
+                if epoch >= 0.0 && epoch.fract() == 0.0 && epoch < u32::MAX as f32 {
+                    Ok(())
+                } else {
+                    Err(format!("scrub epoch {epoch} is not a non-negative integer"))
+                }
+            });
+            visitor.checked_tensor(&format!("{prefix}scrub_health"), &mut scrub.health, &|h| {
+                HealthMonitor::from_flat(h.data(), RepairPolicy::default())
+                    .map(drop)
+                    .map_err(|e| e.to_string())
+            });
             visitor.tensor(&format!("{prefix}scrub_shift"), &mut scrub.shift);
             self.rebuild_scrub_override();
         }
@@ -1214,49 +1186,26 @@ fn scrub_targets(q: &Tensor, shift: &Tensor, range: ConductanceRange) -> Tensor 
     t
 }
 
-/// The sub-map of `faults` covering one tile (column group `g` × input
-/// rows `r0..r0+rl`), in tile-local coordinates.
-fn tile_fault_map(faults: &FaultMap, g: &xbar_core::ColGroup, r0: usize, rl: usize) -> FaultMap {
-    let mut tf = FaultMap::pristine(g.dev_len, rl);
-    for (row, col, kind) in faults.iter_stuck() {
-        if (g.dev_start..g.dev_start + g.dev_len).contains(&row) && (r0..r0 + rl).contains(&col) {
-            tf.set(row - g.dev_start, col - r0, kind);
+/// Checks a stored [`Mapping::Perm`] row order: each column group's
+/// entries must be a permutation of the group's own (global) device rows.
+fn check_perm(grid: &TileGrid, perm: &Tensor) -> Result<(), String> {
+    for g in grid.col_groups() {
+        let mut seen = vec![false; g.dev_len];
+        for &v in &perm.data()[g.dev_start..g.dev_start + g.dev_len] {
+            let local = v - g.dev_start as f32;
+            let fresh = v.fract() == 0.0
+                && (0.0..g.dev_len as f32).contains(&local)
+                && !std::mem::replace(&mut seen[local as usize], true);
+            if !fresh {
+                return Err(format!(
+                    "entry {v} breaks the permutation of device rows {}..{}",
+                    g.dev_start,
+                    g.dev_start + g.dev_len
+                ));
+            }
         }
     }
-    tf
-}
-
-/// Extracts the `(r0..r0+rl, c0..c0+cl)` block of a 2-D tensor.
-fn block_slice(t: &Tensor, r0: usize, rl: usize, c0: usize, cl: usize) -> Tensor {
-    let cols = t.shape()[1];
-    let mut out = Tensor::zeros(&[rl, cl]);
-    for r in 0..rl {
-        let src = &t.data()[(r0 + r) * cols + c0..(r0 + r) * cols + c0 + cl];
-        out.data_mut()[r * cl..(r + 1) * cl].copy_from_slice(src);
-    }
-    out
-}
-
-/// Writes `src` into the `(r0.., c0..)` block of `dst`.
-fn write_block_slice(dst: &mut Tensor, r0: usize, c0: usize, src: &Tensor) {
-    let cols = dst.shape()[1];
-    let (srl, scl) = (src.shape()[0], src.shape()[1]);
-    for r in 0..srl {
-        dst.data_mut()[(r0 + r) * cols + c0..(r0 + r) * cols + c0 + scl]
-            .copy_from_slice(&src.data()[r * scl..(r + 1) * scl]);
-    }
-}
-
-/// Reorders the rows of a 2-D tensor: output row `p` is input row
-/// `perm[p]`.
-fn permute_rows(t: &Tensor, perm: &[usize]) -> Tensor {
-    let cols = t.shape()[1];
-    let mut out = Tensor::zeros(&[perm.len(), cols]);
-    for (p, &logical) in perm.iter().enumerate() {
-        out.data_mut()[p * cols..(p + 1) * cols]
-            .copy_from_slice(&t.data()[logical * cols..(logical + 1) * cols]);
-    }
-    out
+    Ok(())
 }
 
 /// The group-local physical→logical row order for column group `g`,
@@ -1281,16 +1230,6 @@ fn periphery_for_perm(grid: &TileGrid, perm: &Tensor) -> PeripheryMatrix {
         })
         .collect();
     PeripheryMatrix::block_diagonal(&blocks)
-}
-
-/// Copies rows `[start, start + len)` of a 2-D tensor into a new tensor.
-fn rows_slice(t: &Tensor, start: usize, len: usize) -> Tensor {
-    let cols = t.shape()[1];
-    Tensor::from_vec(
-        t.data()[start * cols..(start + len) * cols].to_vec(),
-        &[len, cols],
-    )
-    .expect("slice length matches shape")
 }
 
 /// Solves `(S·Sᵀ)·X = G` for the ACM Gram matrix — the symmetric positive

@@ -574,6 +574,24 @@ impl StateVisitor for Validator<'_> {
         }
     }
 
+    fn checked_tensor(
+        &mut self,
+        name: &str,
+        value: &mut Tensor,
+        check: &dyn Fn(&Tensor) -> Result<(), String>,
+    ) {
+        let at = self.next;
+        self.tensor(name, value);
+        if self.error.is_some() {
+            return;
+        }
+        if let Some(StateItem::Tensor { value: t, .. }) = self.items.get(at) {
+            if let Err(why) = check(t) {
+                self.mismatch(format!("tensor '{name}': {why}"));
+            }
+        }
+    }
+
     fn rng(&mut self, name: &str, _value: &mut XorShiftRng) {
         if let Some(StateItem::Tensor { .. }) = self.expect(name) {
             self.mismatch(format!(

@@ -4,6 +4,7 @@
 
 use xbar_core::{CrossbarArray, Mapping};
 use xbar_device::{ClampMode, DeviceConfig, VariationModel};
+use xbar_nn::persist::crc32;
 use xbar_tensor::{linalg, rng::XorShiftRng, Tensor};
 
 // The property-based half of this suite needs the proptest registry crate,
@@ -170,4 +171,102 @@ fn bc_and_acm_arrays_use_identical_element_counts() {
             .unwrap();
     assert_eq!(bc.num_elements(), acm.num_elements());
     assert!(de.num_elements() > acm.num_elements() * 17 / 10);
+}
+
+#[test]
+fn untiled_programming_is_bitwise_pinned() {
+    // Every stage of the untiled pipeline at once — snapping, fault
+    // dealing, write-verify with variation, drift and IR drop — digested
+    // as raw bits. The constants pin the untiled array's exact RNG draw
+    // order, arithmetic and parasitic composition; none of them may move.
+    use xbar_device::{DriftModel, FaultModel, LineResistanceModel, ProgrammingModel};
+    let dev = DeviceConfig::quantized_linear(4)
+        .with_variation_sigma(0.05)
+        .with_faults(FaultModel::uniform(0.06))
+        .with_programming(ProgrammingModel::write_verify(4, 0.02))
+        .with_drift(DriftModel::new(0.1, 0.02, 11).at_time(100))
+        .with_line_resistance(LineResistanceModel::new(0.01));
+    let expected: [u32; 4] = [0xe570_0dcc, 0x008e_a7ed, 0x73aa_5ffa, 0x00f0_95c9];
+    let mut got = [0u32; 4];
+    for (mapping, digest) in Mapping::ALL.into_iter().zip(&mut got) {
+        let mut rng = XorShiftRng::new(2024);
+        let w = Tensor::rand_uniform(&[9, 14], -0.02, 0.02, &mut rng);
+        let xb = CrossbarArray::program_signed(&w, mapping, dev, &mut rng).unwrap();
+        let x = Tensor::rand_uniform(&[3, 14], -1.0, 1.0, &mut rng);
+        let y = xb.forward(&x).unwrap();
+        assert!(xb.fault_map().num_stuck() > 0, "{mapping}: no faults dealt");
+        assert_ne!(xb.conductances(), xb.effective_conductances());
+        let report = xb.programming_report();
+        let counts = [
+            report.total_cells(),
+            report.num_converged(),
+            report.num_stuck(),
+            report.num_unconverged(),
+            report.total_writes() as usize,
+        ];
+        let stuck = xb.fault_map().iter_stuck().flat_map(|(row, col, kind)| {
+            [row, col, kind.forced_value(dev.range()).to_bits() as usize]
+        });
+        let words = [
+            xb.targets(),
+            xb.conductances(),
+            xb.effective_conductances(),
+            &y,
+        ]
+        .into_iter()
+        .flat_map(|t| t.data().iter().map(|v| v.to_bits() as u64))
+        .chain(stuck.chain(counts).map(|n| n as u64));
+        let bytes: Vec<u8> = words.flat_map(u64::to_le_bytes).collect();
+        *digest = crc32(&bytes);
+    }
+    assert_eq!(got, expected, "untiled programming drifted: {got:#x?}");
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn array_honours_the_device_tile_setting() {
+    use xbar_device::{FaultModel, TileShape};
+    let mut rng = XorShiftRng::new(5);
+    let w = Tensor::rand_uniform(&[20, 50], -0.01, 0.01, &mut rng);
+    let x = Tensor::rand_uniform(&[4, 50], -1.0, 1.0, &mut rng);
+    let program = |device: DeviceConfig| {
+        CrossbarArray::program_signed(&w, Mapping::Acm, device, &mut XorShiftRng::new(1)).unwrap()
+    };
+    // A 16x16 tile splits the 20x50 ACM layer into ceil(50/16) row blocks
+    // by ceil(20/15) column groups; the map it computes is unchanged.
+    let untiled = program(DeviceConfig::ideal());
+    let tiled = program(DeviceConfig::ideal().with_tile_shape(Some(TileShape::new(16, 16))));
+    assert!(untiled.grid().is_monolithic());
+    assert_eq!(tiled.grid().grid(), (4, 2));
+    let (yt, yu) = (tiled.forward(&x).unwrap(), untiled.forward(&x).unwrap());
+    assert!(yt.all_close(&yu, 1e-4));
+    assert!(tiled
+        .effective_weights()
+        .all_close(&untiled.effective_weights(), 1e-4));
+
+    // A tile larger than the layer is the 1x1 grid: the same RNG draws and
+    // the same state, bit for bit, on a noisy faulty device.
+    let noisy = DeviceConfig::quantized_linear(4)
+        .with_variation_sigma(0.05)
+        .with_faults(FaultModel::uniform(0.05));
+    let plain = program(noisy);
+    let big = program(noisy.with_tile_shape(Some(TileShape::new(64, 64))));
+    assert!(big.grid().is_monolithic());
+    assert!(big.fault_map().num_stuck() > 0);
+    for (a, b) in [
+        (big.targets(), plain.targets()),
+        (big.conductances(), plain.conductances()),
+        (big.effective_conductances(), plain.effective_conductances()),
+    ] {
+        assert_eq!(bits(a), bits(b));
+    }
+    assert_eq!(big.fault_map(), plain.fault_map());
+    assert_eq!(big.programming_report(), plain.programming_report());
+    assert_eq!(
+        bits(&big.forward(&x).unwrap()),
+        bits(&plain.forward(&x).unwrap())
+    );
 }

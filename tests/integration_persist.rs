@@ -6,12 +6,13 @@
 use std::fs;
 use std::path::PathBuf;
 
-use xbar_core::Mapping;
+use xbar_core::{Mapping, RepairPolicy};
 use xbar_data::SyntheticMnist;
-use xbar_device::DeviceConfig;
-use xbar_nn::persist::{self, PersistError, KIND_MODEL, KIND_TENSOR, KIND_TRAIN, MAGIC};
+use xbar_device::{DeviceConfig, LifetimeFaultModel, TileShape};
+use xbar_nn::persist::{self, PersistError, StateItem, KIND_MODEL, KIND_TENSOR, KIND_TRAIN, MAGIC};
 use xbar_nn::{
-    train, BatchNorm2d, Conv2d, Dense, Dropout, Flatten, Relu, Sequential, TrainConfig, WeightKind,
+    scrub_network, train, BatchNorm2d, Conv2d, Dense, Dropout, Flatten, Relu, Sequential,
+    TrainConfig, WeightKind,
 };
 use xbar_tensor::rng::XorShiftRng;
 use xbar_tensor::Tensor;
@@ -177,6 +178,41 @@ fn architecture_mismatch_is_rejected_and_leaves_net_untouched() {
     }
     // Validation failed before application: the net must be unchanged.
     assert_eq!(before, persist::collect_state(&mut other));
+}
+
+#[test]
+fn corrupt_perm_or_health_tensors_are_rejected_before_applying() {
+    // Contents a valid CRC cannot vouch for: a snapshot edited in memory
+    // must fail validation with a typed error and leave the net untouched.
+    let device = DeviceConfig::quantized_linear(4)
+        .with_tile_shape(Some(TileShape::new(8, 8)))
+        .with_lifetime_faults(LifetimeFaultModel::new(0.01, 3).unwrap());
+    let mut rng = XorShiftRng::new(31);
+    let mut net = Sequential::new();
+    net.push(Dense::new(20, 12, WeightKind::Mapped(Mapping::Perm), device, &mut rng).unwrap());
+    scrub_network(&mut net, true, &RepairPolicy::default()).unwrap();
+    let snapshot = persist::collect_state(&mut net);
+    let corrupt = |suffix: &str, edit: &dyn Fn(&mut [f32])| {
+        let mut items = snapshot.clone();
+        let item = items.iter_mut().find(|i| i.name().ends_with(suffix));
+        let Some(StateItem::Tensor { value, .. }) = item else {
+            panic!("no {suffix} tensor in the snapshot");
+        };
+        edit(value.data_mut());
+        items
+    };
+    let duplicated_index = corrupt("perm", &|p| p[1] = p[0]);
+    let bad_health_code = corrupt("scrub_health", &|h| h[0] = 9.0);
+    for (suffix, items) in [
+        ("perm", duplicated_index),
+        ("scrub_health", bad_health_code),
+    ] {
+        match persist::restore_state(&mut net, &items) {
+            Err(PersistError::StateMismatch(msg)) => assert!(msg.contains(suffix), "{msg}"),
+            other => panic!("{suffix}: expected StateMismatch, got {other:?}"),
+        }
+        assert_eq!(snapshot, persist::collect_state(&mut net), "{suffix}");
+    }
 }
 
 #[test]

@@ -7,7 +7,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use xbar_core::{CrossbarArray, Mapping, TiledCrossbar};
+use xbar_core::{CrossbarArray, Mapping};
 use xbar_data::SyntheticMnist;
 use xbar_device::{DeviceConfig, TileShape};
 use xbar_models::{mlp2, ModelConfig};
@@ -85,9 +85,14 @@ fn tiled_inference_matches_monolithic_for_every_mapping_on_ragged_grids() {
         let mut r1 = XorShiftRng::new(7);
         let mono = CrossbarArray::program_signed(&w, mapping, dev, &mut r1).unwrap();
         let mut r2 = XorShiftRng::new(7);
-        let tiled =
-            TiledCrossbar::program_signed(&w, mapping, dev, TileShape::new(8, 8), &mut r2).unwrap();
-        assert!(tiled.num_tiles() > 1, "{mapping}: grid is not tiled");
+        let tiled = CrossbarArray::program_signed(
+            &w,
+            mapping,
+            dev.with_tile_shape(Some(TileShape::new(8, 8))),
+            &mut r2,
+        )
+        .unwrap();
+        assert!(tiled.grid().num_tiles() > 1, "{mapping}: grid is not tiled");
 
         let mono_v = mono.mvm_signed(&x1).unwrap();
         let tiled_v = tiled.mvm_signed(&x1).unwrap();
