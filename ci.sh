@@ -30,6 +30,11 @@ cargo test -q --workspace ${CI_FEATURES:-}
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+# Catches dangling and private intra-doc links, e.g. a doc comment still
+# naming a type or method that was removed.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> bench_kernels --smoke (parity + train throughput + BENCH_kernels.json)"
 # Tiny sizes; asserts serial==parallel bitwise on every entry — including
 # the train_step arm, which trains the smoke MLP data-parallel (shards=4)

@@ -73,7 +73,7 @@ pub struct Entry {
     pub parallel_ms: f64,
     /// Paired serial/parallel ratio: the median of per-rep
     /// `serial/parallel` quotients from interleaved arm sampling (see
-    /// [`time_arms_ms`]). More drift-robust than the quotient of the two
+    /// `time_arms_ms`). More drift-robust than the quotient of the two
     /// best-of times, whose minima may come from different noise windows.
     pub vs_serial: Option<f64>,
     /// Whether the parallel result was bitwise identical to serial.

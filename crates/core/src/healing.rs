@@ -1,55 +1,49 @@
 //! Self-healing crossbar execution: online fault detection, staged repair
 //! with retry/backoff, and exact digital fallback.
 //!
-//! The resilience machinery elsewhere in this crate (write-verify
-//! programming, null-space remap, `Mapping::Perm`) runs at *program time*
-//! — a fault that arrives after mapping silently corrupts every
-//! subsequent MVM. This module closes the loop at run time:
+//! Write-verify programming, null-space remap and `Mapping::Perm` act at
+//! *program time*; a fault that arrives after mapping silently corrupts
+//! every later MVM. [`ScrubState`] closes the loop at run time. Each
+//! [`ScrubState::tick`] is one scrub epoch of a programmed layer:
 //!
-//! 1. **Detection** — an ABFT-style checksum per physical tile. The
-//!    expected column sums of a tile's target block form a checksum
-//!    vector `c` with `Σ_d (x·Mᵀ)[d] = x·c` for every input `x`, so each
-//!    tile MVM yields a residual at the cost of one extra dot product
-//!    ([`SelfHealingCrossbar::forward_verified`]). The scrub loop
-//!    evaluates the same residual analytically (its worst case over unit
-//!    inputs, [`checksum_residual`]), which keeps detection a pure
-//!    function of array state.
-//! 2. **Health tracking** — a [`HealthMonitor`] holds a per-tile residual
-//!    EWMA and drives the state machine `Healthy → Suspect → Repairing →
-//!    Quarantined` ([`TileHealth`]). One suspect observation never
-//!    triggers a repair; the residual must persist.
-//! 3. **Staged repair** — a bounded retry/backoff budget walks the
-//!    escalation ladder [`RepairStage::Reprogram`] (write-verify pass;
-//!    clears transient upsets) → [`RepairStage::Remap`] (tile-local
-//!    null-space compensation of the stuck cells) →
-//!    [`RepairStage::FullRemap`] (discard accumulated shifts, remap from
-//!    the pristine targets). Every attempt is recorded in a
-//!    [`RepairAttempt`].
-//! 4. **Digital fallback** — a tile that exhausts its budget is
-//!    quarantined: its partial product is served from the ideal
-//!    (fault-free, snapped) targets, exactly — accuracy is preserved and
-//!    the [`ScrubReport::analog_coverage`] metric drops instead.
+//! 1. **Refresh** — every tile is noiselessly re-programmed from
+//!    `clamp(ideal + shift)` over the epoch's lifetime fault map
+//!    ([`xbar_device::LifetimeFaultModel`]); stuck cells keep their
+//!    forced values.
+//! 2. **Detection** — an ABFT checksum per tile. The column sums `c` of a
+//!    tile's target block satisfy `Σ_d (x·Mᵀ)[d] = x·c` for every input
+//!    `x`; the scrub evaluates the worst-case mismatch over unit inputs
+//!    analytically, so detection is a pure function of array state.
+//! 3. **Health tracking** — a per-tile residual EWMA drives
+//!    `Healthy → Suspect → Repairing → Quarantined`; one suspect reading
+//!    never triggers a repair, the residual must persist.
+//! 4. **Staged repair** — a bounded retry/backoff budget walks
+//!    [`RepairStage::Reprogram`] → [`RepairStage::Remap`] (tile-local
+//!    null-space compensation of the stuck cells, kept in `shift`) →
+//!    [`RepairStage::FullRemap`] (remap from the ideal block), recording
+//!    every [`RepairAttempt`].
+//! 5. **Digital fallback** — a tile that exhausts its budget is
+//!    quarantined and served from its ideal block, exactly; the
+//!    [`ScrubReport::analog_coverage`] metric drops instead of accuracy.
 //!
-//! Determinism contract: scrub-path programming always uses
-//! `VariationModel::none()`, which writes targets exactly and consumes no
-//! RNG, so the entire array state after any number of scrubs is a pure
-//! function of `(reference array, lifetime model, policy, epoch)` —
-//! serial and pooled execution stay bitwise identical, and a checkpoint
-//! can rebuild the state exactly. With an inactive
-//! [`LifetimeFaultModel`], every path is a bitwise no-op.
+//! Scrub programming uses `VariationModel::none()`: it writes targets
+//! exactly and consumes no RNG, so what a tick serves is a pure function
+//! of `(ideal, shift, health, epoch)` and the lifetime model. Serial and
+//! pooled runs stay bitwise identical, and a checkpoint rebuilds the
+//! served view exactly ([`ScrubState::served`]).
 
-use xbar_device::{DeviceConfig, FaultMap, LifetimeFaultModel, ProgrammingReport, VariationModel};
+use xbar_device::{DeviceConfig, FaultMap, VariationModel};
 use xbar_tensor::rng::XorShiftRng;
-use xbar_tensor::{linalg, Tensor};
+use xbar_tensor::Tensor;
 
-use crate::tiling::{cols_slice, Tile};
-use crate::{remap_for_faults, CrossbarArray, MappingError, PeripheryMatrix, TileGrid};
+use crate::{remap_for_faults, MappingError, PeripheryMatrix, Tile, TileGrid};
 
 /// Health state of one physical tile, as tracked by the
 /// [`HealthMonitor`]'s per-tile state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TileHealth {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+enum TileHealth {
     /// Residual EWMA below threshold; the tile serves analog MVMs.
+    #[default]
     Healthy,
     /// The residual crossed the threshold once; confirmed (and repaired)
     /// only if it persists at the next scrub.
@@ -64,17 +58,12 @@ pub enum TileHealth {
 
 impl TileHealth {
     /// Stable numeric code, for flat (tensor) persistence.
-    pub fn code(self) -> f32 {
-        match self {
-            Self::Healthy => 0.0,
-            Self::Suspect => 1.0,
-            Self::Repairing => 2.0,
-            Self::Quarantined => 3.0,
-        }
+    fn code(self) -> f32 {
+        f32::from(self as u8)
     }
 
     /// Inverse of [`TileHealth::code`].
-    pub fn from_code(code: f32) -> Option<Self> {
+    fn from_code(code: f32) -> Option<Self> {
         [
             Self::Healthy,
             Self::Suspect,
@@ -98,20 +87,9 @@ pub enum RepairStage {
     /// ones, then re-program.
     Remap,
     /// Discard every previously accumulated shift and remap the tile
-    /// from its pristine targets — recovers from a stale compensation
-    /// that later arrivals invalidated.
+    /// from its ideal block — recovers from a stale compensation that
+    /// later arrivals invalidated.
     FullRemap,
-}
-
-impl RepairStage {
-    /// Short lowercase tag for logs and JSON.
-    pub fn tag(self) -> &'static str {
-        match self {
-            Self::Reprogram => "reprogram",
-            Self::Remap => "remap",
-            Self::FullRemap => "full_remap",
-        }
-    }
 }
 
 /// Tuning knobs of the detection/repair loop.
@@ -186,7 +164,7 @@ impl RepairPolicy {
 
 /// What the monitor asks the scrub loop to do with one tile this epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HealthAction {
+enum HealthAction {
     /// Residual nominal; nothing to do.
     Nothing,
     /// First threshold crossing: the tile is now suspect, confirm next
@@ -200,7 +178,8 @@ pub enum HealthAction {
     AlreadyQuarantined,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One tile's monitor entry; the default is a fresh healthy tile.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 struct TileState {
     state: TileHealth,
     ewma: f32,
@@ -208,75 +187,43 @@ struct TileState {
     backoff_until: u32,
 }
 
-impl TileState {
-    fn healthy() -> Self {
-        Self {
-            state: TileHealth::Healthy,
-            ewma: 0.0,
-            attempts: 0,
-            backoff_until: 0,
-        }
-    }
-}
-
 /// Per-tile residual EWMAs and the `Healthy → Suspect → Repairing →
 /// Quarantined` state machine they drive.
 ///
 /// Tiles are indexed in the grid's deterministic order: row blocks outer,
-/// column groups inner (matching [`TileGrid::row_blocks`] ×
-/// [`TileGrid::col_groups`]).
+/// column groups inner (matching [`TileGrid::tiles`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct HealthMonitor {
+struct HealthMonitor {
     policy: RepairPolicy,
     tiles: Vec<TileState>,
 }
 
 impl HealthMonitor {
     /// A monitor with every tile healthy.
-    pub fn new(num_tiles: usize, policy: RepairPolicy) -> Self {
+    fn new(num_tiles: usize, policy: RepairPolicy) -> Self {
         Self {
             policy,
-            tiles: vec![TileState::healthy(); num_tiles],
+            tiles: vec![TileState::default(); num_tiles],
         }
     }
 
-    /// Number of tracked tiles.
-    pub fn num_tiles(&self) -> usize {
-        self.tiles.len()
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> &RepairPolicy {
-        &self.policy
-    }
-
     /// Health state of one tile.
-    pub fn state(&self, tile: usize) -> TileHealth {
+    fn state(&self, tile: usize) -> TileHealth {
         self.tiles[tile].state
     }
 
-    /// Current residual EWMA of one tile.
-    pub fn ewma(&self, tile: usize) -> f32 {
-        self.tiles[tile].ewma
-    }
-
     /// Tiles currently quarantined.
-    pub fn num_quarantined(&self) -> usize {
+    fn num_quarantined(&self) -> usize {
         self.tiles
             .iter()
             .filter(|t| t.state == TileHealth::Quarantined)
             .count()
     }
 
-    /// Tiles still serving analog MVMs.
-    pub fn num_analog(&self) -> usize {
-        self.num_tiles() - self.num_quarantined()
-    }
-
     /// Folds one scrub's residual observation for `tile` into the EWMA
     /// and advances the state machine, returning the action the scrub
     /// loop should take.
-    pub fn observe(&mut self, tile: usize, residual: f32, epoch: u32) -> HealthAction {
+    fn observe(&mut self, tile: usize, residual: f32, epoch: u32) -> HealthAction {
         let policy = self.policy;
         let t = &mut self.tiles[tile];
         if t.state == TileHealth::Quarantined {
@@ -284,34 +231,22 @@ impl HealthMonitor {
         }
         t.ewma = policy.ewma_alpha * residual + (1.0 - policy.ewma_alpha) * t.ewma;
         let over = t.ewma > policy.residual_threshold;
-        match t.state {
-            TileHealth::Healthy => {
-                if over {
-                    t.state = TileHealth::Suspect;
-                    HealthAction::Detected
-                } else {
-                    HealthAction::Nothing
-                }
+        let (state, action) = match (t.state, over) {
+            (TileHealth::Healthy, false) => (TileHealth::Healthy, HealthAction::Nothing),
+            (TileHealth::Healthy, true) => (TileHealth::Suspect, HealthAction::Detected),
+            // Transient: the residual cleared on its own.
+            (TileHealth::Suspect, false) => (TileHealth::Healthy, HealthAction::Nothing),
+            (TileHealth::Repairing, _) if epoch < t.backoff_until => {
+                (TileHealth::Repairing, HealthAction::Backoff)
             }
-            TileHealth::Suspect => {
-                if over {
-                    t.state = TileHealth::Repairing;
-                    HealthAction::Repair(policy.stage_for(t.attempts))
-                } else {
-                    // Transient: the residual cleared on its own.
-                    t.state = TileHealth::Healthy;
-                    HealthAction::Nothing
-                }
-            }
-            TileHealth::Repairing => {
-                if epoch < t.backoff_until {
-                    HealthAction::Backoff
-                } else {
-                    HealthAction::Repair(policy.stage_for(t.attempts))
-                }
-            }
-            TileHealth::Quarantined => unreachable!("handled above"),
-        }
+            (TileHealth::Suspect, true) | (TileHealth::Repairing, _) => (
+                TileHealth::Repairing,
+                HealthAction::Repair(policy.stage_for(t.attempts)),
+            ),
+            (TileHealth::Quarantined, _) => unreachable!("handled above"),
+        };
+        t.state = state;
+        action
     }
 
     /// Records the outcome of one repair attempt on `tile` and returns
@@ -319,11 +254,11 @@ impl HealthMonitor {
     /// fresh budget; a failed attempt burns budget, schedules an
     /// exponential backoff window, and quarantines the tile once the
     /// budget is gone.
-    pub fn record_attempt(&mut self, tile: usize, epoch: u32, healed: bool) -> TileHealth {
+    fn record_attempt(&mut self, tile: usize, epoch: u32, healed: bool) -> TileHealth {
         let policy = self.policy;
         let t = &mut self.tiles[tile];
         if healed {
-            *t = TileState::healthy();
+            *t = TileState::default();
         } else {
             t.attempts += 1;
             if t.attempts >= policy.budget() {
@@ -335,11 +270,12 @@ impl HealthMonitor {
         t.state
     }
 
-    /// Flattens the monitor to `4` floats per tile
+    /// Flattens the monitor to a tensor of `4` floats per tile
     /// (`[state code, ewma, attempts, backoff_until]`), for tensor-based
     /// checkpoint persistence.
-    pub fn to_flat(&self) -> Vec<f32> {
-        self.tiles
+    fn to_tensor(&self) -> Tensor {
+        let flat: Vec<f32> = self
+            .tiles
             .iter()
             .flat_map(|t| {
                 [
@@ -349,39 +285,38 @@ impl HealthMonitor {
                     t.backoff_until as f32,
                 ]
             })
-            .collect()
+            .collect();
+        let len = flat.len();
+        Tensor::from_vec(flat, &[len]).expect("length matches")
     }
 
-    /// Rebuilds a monitor from [`HealthMonitor::to_flat`] output.
+    /// Rebuilds a monitor from [`HealthMonitor::to_tensor`] output.
     ///
     /// # Errors
     ///
     /// Returns a shape error if the length is not a multiple of 4, a
     /// state code is invalid, an EWMA is not finite, or a counter is
     /// negative or not finite.
-    pub fn from_flat(flat: &[f32], policy: RepairPolicy) -> Result<Self, MappingError> {
-        if !flat.len().is_multiple_of(4) {
-            return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
+    fn from_flat(flat: &[f32], policy: RepairPolicy) -> Result<Self, MappingError> {
+        let invalid = |what: &str, v: f32| {
+            MappingError::Shape(xbar_tensor::ShapeError::new(
                 "health monitor",
-                format!("flat state length {} is not a multiple of 4", flat.len()),
-            )));
+                format!("invalid {what} {v}"),
+            ))
+        };
+        if !flat.len().is_multiple_of(4) {
+            return Err(invalid("flat state length", flat.len() as f32));
         }
         let tiles = flat
             .chunks_exact(4)
             .map(|c| {
-                let invalid = |what: &str, v: f32| {
-                    MappingError::Shape(xbar_tensor::ShapeError::new(
-                        "health monitor",
-                        format!("invalid tile {what} {v}"),
-                    ))
-                };
                 let state =
-                    TileHealth::from_code(c[0]).ok_or_else(|| invalid("health code", c[0]))?;
+                    TileHealth::from_code(c[0]).ok_or_else(|| invalid("tile health code", c[0]))?;
                 if !c[1].is_finite() {
-                    return Err(invalid("residual EWMA", c[1]));
+                    return Err(invalid("tile residual EWMA", c[1]));
                 }
                 if let Some(&v) = c[2..].iter().find(|v| !(v.is_finite() && **v >= 0.0)) {
-                    return Err(invalid("counter", v));
+                    return Err(invalid("tile counter", v));
                 }
                 Ok(TileState {
                     state,
@@ -414,8 +349,9 @@ pub struct RepairAttempt {
     pub healed: bool,
 }
 
-/// Outcome of one [`SelfHealingCrossbar::scrub`] pass.
-#[derive(Debug, Clone, PartialEq)]
+/// Outcome of one [`ScrubState::tick`]: the epoch's fault arrivals and
+/// every detection, repair and quarantine event it triggered.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScrubReport {
     /// The scrub epoch this report covers.
     pub epoch: u32,
@@ -450,12 +386,11 @@ impl ScrubReport {
 
 /// Worst-case ABFT checksum residual of a tile: the maximum over input
 /// columns of the absolute column-sum mismatch between the physical and
-/// target blocks. Equals the largest residual
-/// [`SelfHealingCrossbar::forward_verified`] can observe over unit
-/// inputs. A single column checksum can in principle be blinded by two
-/// arrivals of opposite sign cancelling in the same column — rare, and
-/// caught at the next arrival.
-pub fn checksum_residual(physical: &Tensor, targets: &Tensor) -> f32 {
+/// target blocks — the largest residual a checksummed MVM can observe
+/// over unit inputs. A single column checksum can in principle be
+/// blinded by two arrivals of opposite sign cancelling in the same
+/// column — rare, and caught at the next arrival.
+fn checksum_residual(physical: &Tensor, targets: &Tensor) -> f32 {
     debug_assert_eq!(physical.shape(), targets.shape());
     let (rows, cols) = (physical.shape()[0], physical.shape()[1]);
     let mut worst = 0.0f32;
@@ -469,343 +404,346 @@ pub fn checksum_residual(physical: &Tensor, targets: &Tensor) -> f32 {
     worst
 }
 
-/// A programmed [`CrossbarArray`] wrapped with the full self-healing loop: lifetime
-/// fault arrivals, per-tile checksum detection, staged repair, and exact
-/// digital fallback for quarantined tiles.
+/// A check a persisted tensor's contents must pass, beyond its shape,
+/// before a snapshot may be restored into it.
+type StateCheck = fn(&Tensor) -> Result<(), String>;
+
+/// Deterministic seed of the (never-consumed) scrub programming stream.
+const SCRUB_RNG_SEED: u64 = 0x5C2B;
+
+/// Persistent state of the self-healing scrub loop of one programmed
+/// layer: the scrub epoch, the per-tile health, and the remap
+/// compensation `shift`, kept as tensors so they ride any tensor
+/// checkpoint path ([`ScrubState::tensors_mut`]).
 ///
-/// Built from a programmed reference array (whose snapped targets become
-/// both the pristine repair reference and the digital fallback source),
-/// the wrapper serves MVMs bitwise identical to the reference until
-/// [`SelfHealingCrossbar::scrub`] advances the wear clock.
+/// The layer is borrowed on every call: the caller owns the
+/// [`TileGrid`], periphery, device and *ideal* conductances — the snapped
+/// targets of a [`crate::CrossbarArray`], or a trained parameter's
+/// quantized conductances, which may change between ticks. The served
+/// view is not persisted; [`ScrubState::served`] rebuilds it.
 ///
 /// # Example
 ///
 /// ```
-/// use xbar_core::{CrossbarArray, Mapping, RepairPolicy, SelfHealingCrossbar};
+/// use xbar_core::{CrossbarArray, Mapping, RepairPolicy, ScrubState};
 /// use xbar_device::{DeviceConfig, LifetimeFaultModel, TileShape};
 /// use xbar_tensor::{rng::XorShiftRng, Tensor};
 ///
 /// # fn main() -> Result<(), xbar_core::MappingError> {
 /// let mut rng = XorShiftRng::new(9);
 /// let w = Tensor::rand_uniform(&[12, 24], -0.02, 0.02, &mut rng);
-/// let device = DeviceConfig::ideal().with_tile_shape(Some(TileShape::new(8, 8)));
-/// let tiled = CrossbarArray::program_signed(&w, Mapping::Acm, device, &mut rng)?;
-/// let lifetime = LifetimeFaultModel::new(0.001, 7).unwrap();
-/// let mut healing = SelfHealingCrossbar::new(&tiled, lifetime, RepairPolicy::default());
-/// let report = healing.scrub()?;
+/// let device = DeviceConfig::ideal()
+///     .with_tile_shape(Some(TileShape::new(8, 8)))
+///     .with_lifetime_faults(LifetimeFaultModel::new(0.001, 7).unwrap());
+/// let xb = CrossbarArray::program_signed(&w, Mapping::Acm, device, &mut rng)?;
+/// let (grid, policy) = (xb.grid(), RepairPolicy::default());
+/// let mut scrub = ScrubState::new(grid);
+/// let (report, served, _) =
+///     scrub.tick(grid, xb.periphery(), xb.device(), xb.targets(), true, &policy)?;
 /// assert_eq!(report.epoch, 1);
-/// assert_eq!(report.total_tiles, tiled.grid().num_tiles());
+/// assert_eq!(report.total_tiles, xb.grid().num_tiles());
+/// assert_eq!(served.shape(), xb.targets().shape());
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct SelfHealingCrossbar {
-    grid: TileGrid,
-    periphery: PeripheryMatrix,
-    device: DeviceConfig,
-    lifetime: LifetimeFaultModel,
-    monitor: HealthMonitor,
-    /// Pristine snapped targets: repair reference and digital fallback.
-    ideal: Tensor,
-    /// Current targets, including any remap compensation shifts.
-    targets: Tensor,
-    /// Physical conductances, stuck cells included.
-    physical: Tensor,
-    /// What `forward` reads: `physical`, with every quarantined tile's
-    /// block replaced by its `ideal` block.
-    served: Tensor,
-    faults: FaultMap,
-    epoch: u32,
-    log: Vec<RepairAttempt>,
+pub struct ScrubState {
+    /// Scrub epoch counter, shape `[1]` (0 = never scrubbed).
+    epoch: Tensor,
+    /// Flattened [`HealthMonitor`], 4 floats per tile.
+    health: Tensor,
+    /// Persistent remap compensation, shaped like the ideal
+    /// conductances.
+    shift: Tensor,
 }
 
-impl SelfHealingCrossbar {
-    /// Wraps a programmed reference array. Its snapped targets become the
-    /// pristine repair reference (and exact digital fallback); its
-    /// effective conductances seed the physical state, so with no scrubs
-    /// the wrapper's [`SelfHealingCrossbar::forward`] is bitwise
-    /// identical to the reference's.
-    pub fn new(
-        reference: &CrossbarArray,
-        lifetime: LifetimeFaultModel,
-        policy: RepairPolicy,
-    ) -> Self {
-        let grid = reference.grid().clone();
-        let num_tiles = grid.num_tiles();
+impl ScrubState {
+    /// A never-scrubbed state for a layer laid out on `grid`: epoch 0,
+    /// every tile healthy, no compensation.
+    pub fn new(grid: &TileGrid) -> Self {
         Self {
-            periphery: reference.periphery().clone(),
-            device: *reference.device(),
-            lifetime,
-            monitor: HealthMonitor::new(num_tiles, policy),
-            ideal: reference.targets().clone(),
-            targets: reference.targets().clone(),
-            physical: reference.effective_conductances().clone(),
-            served: reference.effective_conductances().clone(),
-            faults: reference.fault_map().clone(),
-            epoch: 0,
-            log: Vec::new(),
-            grid,
+            epoch: Tensor::zeros(&[1]),
+            health: HealthMonitor::new(grid.num_tiles(), RepairPolicy::default()).to_tensor(),
+            shift: Tensor::zeros(&[grid.nd_total(), grid.n_in()]),
         }
     }
 
     /// The current scrub epoch (0 = never scrubbed).
     pub fn epoch(&self) -> u32 {
-        self.epoch
+        self.epoch.data()[0] as u32
     }
 
-    /// The health monitor.
-    pub fn monitor(&self) -> &HealthMonitor {
-        &self.monitor
-    }
-
-    /// Every repair attempt across all scrubs, in order.
-    pub fn repair_log(&self) -> &[RepairAttempt] {
-        &self.log
-    }
-
-    /// The accumulated stuck-cell map, in the stacked frame.
-    pub fn fault_map(&self) -> &FaultMap {
-        &self.faults
-    }
-
-    /// Fraction of tiles still served by the analog array.
-    pub fn analog_coverage(&self) -> f32 {
-        if self.grid.num_tiles() == 0 {
-            return 1.0;
-        }
-        self.monitor.num_analog() as f32 / self.grid.num_tiles() as f32
-    }
-
-    /// The effective signed weights the served array realises (digital
-    /// fallback blocks included).
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if the periphery and conductances disagree
-    /// (impossible by construction, surfaced rather than panicking).
-    pub fn effective_weights(&self) -> Result<Tensor, MappingError> {
-        linalg::matmul(self.periphery.matrix(), &self.served).map_err(MappingError::from)
-    }
-
-    /// Advances the wear clock one scrub epoch: overlays newly arrived
-    /// lifetime faults onto the physical array, re-evaluates every tile's
-    /// checksum residual, and runs the detection → repair → quarantine
-    /// loop. A no-op (bitwise, including the report counters) when the
-    /// lifetime model is inactive and every tile is healthy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates remap failures ([`MappingError`]); the array is left in
-    /// a consistent (pre-attempt) state for the failing tile.
-    pub fn scrub(&mut self) -> Result<ScrubReport, MappingError> {
-        self.epoch += 1;
-        let (nd, n_in) = (self.grid.nd_total(), self.grid.n_in());
-        let range = self.device.range();
-        let quarantined_before = self.monitor.num_quarantined();
-
-        // 1. Overlay this epoch's fault arrivals onto the physical state.
-        let mut new_faults = 0;
-        if self.lifetime.is_active() {
-            for (row, col, kind) in self.lifetime.fault_map(nd, n_in, self.epoch).iter_stuck() {
-                if self.faults.get(row, col).is_none() {
-                    self.faults.set(row, col, kind);
-                    new_faults += 1;
-                }
-                *self.physical.at_mut(&[row, col]) = kind.forced_value(range);
-            }
-        }
-
-        // 2. Detection + staged repair, tile by tile in grid order.
-        let mut report = ScrubReport {
-            epoch: self.epoch,
-            new_faults,
-            detections: 0,
-            repairs: Vec::new(),
-            quarantined_now: 0,
-            quarantined_total: 0,
-            analog_tiles: 0,
-            total_tiles: self.grid.num_tiles(),
-            exhausted_cells: 0,
-        };
-        let tiles: Vec<Tile> = self.grid.tiles().collect();
-        for tile in &tiles {
-            let residual = checksum_residual(&tile.read(&self.physical), &tile.read(&self.targets));
-            match self.monitor.observe(tile.index, residual, self.epoch) {
-                HealthAction::Detected => report.detections += 1,
-                HealthAction::Repair(stage) => {
-                    let attempt = self.repair_tile(tile, stage, &mut report)?;
-                    report.repairs.push(attempt);
-                    self.log.push(attempt);
-                }
-                HealthAction::Nothing
-                | HealthAction::Backoff
-                | HealthAction::AlreadyQuarantined => {}
-            }
-        }
-
-        // 3. Rebuild the served view: physical everywhere, ideal blocks
-        // for quarantined tiles.
-        self.served = self.physical.clone();
-        for tile in &tiles {
-            if self.monitor.state(tile.index) == TileHealth::Quarantined {
-                tile.write(&mut self.served, &tile.read(&self.ideal));
-            }
-        }
-
-        report.quarantined_total = self.monitor.num_quarantined();
-        report.quarantined_now = report.quarantined_total - quarantined_before;
-        report.analog_tiles = self.monitor.num_analog();
-        Ok(report)
-    }
-
-    /// Runs one repair attempt on a tile and records the outcome with the
-    /// monitor. Scrub-path programming is deliberately noiseless
-    /// (`VariationModel::none()`): it writes targets exactly, consumes no
-    /// RNG, and keeps the repair a pure function of array state.
-    fn repair_tile(
-        &mut self,
-        tile: &Tile,
-        stage: RepairStage,
-        report: &mut ScrubReport,
-    ) -> Result<RepairAttempt, MappingError> {
-        let range = self.device.range();
-        let tf = tile.faults(&self.faults);
-        let residual_before =
-            checksum_residual(&tile.read(&self.physical), &tile.read(&self.targets));
-
-        // Stage-specific target revision; the remap rungs compensate
-        // against the group's stencil cut from the layer periphery, so
-        // any folded-in `Perm` row order is kept.
-        let (tile_targets, weight_residual) = match stage {
-            RepairStage::Reprogram => (tile.read(&self.targets), None),
-            RepairStage::Remap | RepairStage::FullRemap => {
-                let base = if stage == RepairStage::Remap {
-                    tile.read(&self.targets)
+    /// The persisted tensors in checkpoint order — `epoch`, `health`,
+    /// `shift` — each with the check its contents must pass (beyond its
+    /// shape) before a snapshot may be restored into it.
+    pub fn tensors_mut(&mut self) -> [(&'static str, &mut Tensor, StateCheck); 3] {
+        [
+            ("epoch", &mut self.epoch, |e| {
+                let epoch = e.data()[0];
+                if epoch >= 0.0 && epoch.fract() == 0.0 && epoch < u32::MAX as f32 {
+                    Ok(())
                 } else {
-                    tile.read(&self.ideal)
-                };
-                let p = tile.group.stencil(&self.periphery)?;
-                let (shifted, rr) = remap_for_faults(&base, &p, &tf, range)?;
-                (shifted, Some(rr.residual_after()))
-            }
-        };
-
-        // Noiseless write-verify pass; stuck cells keep their forced
-        // values, everything else lands exactly on target.
-        let mut scrub_rng = XorShiftRng::new(0x5C2B);
-        let (programmed, prog_report): (Tensor, ProgrammingReport) =
-            self.device.programming().program_tensor(
-                &tile_targets,
-                &VariationModel::none(),
-                range,
-                Some(&tf),
-                &mut scrub_rng,
-            );
-        report.exhausted_cells += prog_report.num_unconverged();
-        tile.write(&mut self.targets, &tile_targets);
-        tile.write(&mut self.physical, &programmed);
-
-        let residual_after = checksum_residual(&programmed, &tile_targets);
-        let healed = match weight_residual {
-            // Remap rungs must restore *weight* accuracy, not just agree
-            // with their own revised targets.
-            Some(wr) => wr <= self.monitor.policy().weight_tolerance,
-            None => residual_after <= self.monitor.policy().residual_threshold,
-        };
-        let state = self.monitor.record_attempt(tile.index, self.epoch, healed);
-        if state == TileHealth::Quarantined {
-            // Reset the tile's intent to pristine so the digital fallback
-            // and any later diagnostics agree on what it should compute.
-            tile.write(&mut self.targets, &tile.read(&self.ideal));
-        }
-        Ok(RepairAttempt {
-            epoch: self.epoch,
-            tile: tile.index,
-            stage,
-            residual_before,
-            residual_after,
-            healed,
-        })
-    }
-
-    /// Injects a transient (soft) corruption into one physical cell —
-    /// the non-stuck error class [`RepairStage::Reprogram`] exists to
-    /// clear. Test/experiment hook; real arrays get this from radiation
-    /// or read disturb.
-    pub fn inject_soft_error(&mut self, row: usize, col: usize, value: f32) {
-        *self.physical.at_mut(&[row, col]) = value;
-        *self.served.at_mut(&[row, col]) = value;
-    }
-
-    /// Batched signed MVM over the self-healed array: quarantined tiles'
-    /// partial products come from the exact digital fallback, everything
-    /// else from the (possibly faulty) analog state.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if `x` is not `(batch, n_in)`, or
-    /// [`MappingError::NonFiniteInput`] on NaN/Inf inputs.
-    pub fn forward(&self, x: &Tensor) -> Result<Tensor, MappingError> {
-        self.grid.check_batch(x, "self-healing forward")?;
-        self.periphery.combine(&self.grid.raw_mvm(&self.served, x))
-    }
-
-    /// Like [`SelfHealingCrossbar::forward`], but also returns the ABFT
-    /// checksum residual each tile's MVM produced on this batch: per tile
-    /// the identity `Σ_d partial[b, d] = x_block[b] · c` (with `c` the
-    /// target block's column sums) must hold; the reported value is the
-    /// worst absolute violation over the batch.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SelfHealingCrossbar::forward`].
-    pub fn forward_verified(&self, x: &Tensor) -> Result<(Tensor, Vec<f32>), MappingError> {
-        let y = self.forward(x)?;
-        let batch = x.shape()[0];
-        let residuals = self
-            .grid
-            .tiles()
-            .map(|tile| {
-                let (dl, rl) = (tile.group.dev_len, tile.row_len);
-                let x_block = cols_slice(x, tile.row_start, rl);
-                let partial = linalg::matmul_nt(&x_block, &tile.read(&self.served))
-                    .expect("tile dimensions agree by construction");
-                // Checksum of the *expected* block: c[i] = Σ_d targets[d, i].
-                let mut checksum = vec![0.0f32; rl];
-                for row in tile.read(&self.targets).data().chunks_exact(rl) {
-                    for (c, &t) in checksum.iter_mut().zip(row) {
-                        *c += t;
-                    }
+                    Err(format!("scrub epoch {epoch} is not a non-negative integer"))
                 }
-                (0..batch)
-                    .map(|b| {
-                        let got: f32 = partial.data()[b * dl..(b + 1) * dl].iter().sum();
-                        let want: f32 = x_block.data()[b * rl..(b + 1) * rl]
-                            .iter()
-                            .zip(&checksum)
-                            .map(|(&xi, &ci)| xi * ci)
-                            .sum();
-                        (got - want).abs()
-                    })
-                    .fold(0.0f32, f32::max)
-            })
-            .collect();
-        Ok((y, residuals))
+            }),
+            ("health", &mut self.health, |h| {
+                HealthMonitor::from_flat(h.data(), RepairPolicy::default())
+                    .map(drop)
+                    .map_err(|e| e.to_string())
+            }),
+            ("shift", &mut self.shift, |_| Ok(())),
+        ]
     }
+
+    /// The persisted health states. The policy is irrelevant to reading
+    /// them; a tick decodes with its own.
+    fn monitor(&self) -> Result<HealthMonitor, MappingError> {
+        HealthMonitor::from_flat(self.health.data(), RepairPolicy::default())
+    }
+
+    /// Advances the wear clock one scrub epoch and returns the epoch's
+    /// report, the served conductances, and the epoch's stuck-cell map.
+    ///
+    /// Every tile is programmed once from `clamp(ideal + shift)` over the
+    /// epoch's fault map (plus once per repair attempt). With `detect`,
+    /// each tile's checksum residual then drives the health monitor and
+    /// the repair ladder under `policy`; without, observation and repair
+    /// are skipped (the maintenance-free deployment) and quarantined
+    /// tiles stay on the fallback, as [`ScrubState::served`] rebuilds.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`MappingError`] if the persisted health state is invalid
+    /// or a tile-local remap fails. The epoch and health state then stay
+    /// unchanged; shift blocks revised earlier in the walk keep their
+    /// revision.
+    pub fn tick(
+        &mut self,
+        grid: &TileGrid,
+        periphery: &PeripheryMatrix,
+        device: &DeviceConfig,
+        ideal: &Tensor,
+        detect: bool,
+        policy: &RepairPolicy,
+    ) -> Result<(ScrubReport, Tensor, FaultMap), MappingError> {
+        let range = device.range();
+        let epoch = self.epoch() + 1;
+        let (faults, new_faults) =
+            device
+                .lifetime()
+                .fault_map_with_arrivals(grid.nd_total(), grid.n_in(), epoch);
+        let mut monitor = HealthMonitor::from_flat(self.health.data(), *policy)?;
+        let quarantined_before = monitor.num_quarantined();
+        let targets = scrub_targets(ideal, &self.shift, device);
+        let mut report = ScrubReport {
+            epoch,
+            new_faults,
+            total_tiles: grid.num_tiles(),
+            ..ScrubReport::default()
+        };
+        let mut served = Tensor::zeros(ideal.shape());
+        for tile in grid.tiles() {
+            let tile_faults = tile.faults(&faults);
+            let t_block = tile.read(&targets);
+            let (mut programmed, unconverged) = program_tile(device, &t_block, &tile_faults);
+            report.exhausted_cells += unconverged;
+            let mut repair = None;
+            if detect {
+                let residual = checksum_residual(&programmed, &t_block);
+                match monitor.observe(tile.index, residual, epoch) {
+                    HealthAction::Detected => report.detections += 1,
+                    HealthAction::Repair(stage) => repair = Some((stage, residual)),
+                    _ => {}
+                }
+            }
+            if let Some((stage, residual_before)) = repair {
+                // The remap rungs revise this tile's block of the
+                // persistent shift; the targets are then recomputed from
+                // the `clamp(ideal + shift)` formula, so a checkpoint
+                // rebuild reproduces the same f32 operations bitwise.
+                let ideal_block = tile.read(ideal);
+                let weight_residual = match stage {
+                    RepairStage::Reprogram => None,
+                    RepairStage::Remap | RepairStage::FullRemap => {
+                        let base = if stage == RepairStage::FullRemap {
+                            &ideal_block
+                        } else {
+                            &t_block
+                        };
+                        let stencil = tile.group.stencil(periphery)?;
+                        let (shifted, rr) = remap_for_faults(base, &stencil, &tile_faults, range)?;
+                        tile.write(&mut self.shift, &shifted.sub(&ideal_block)?);
+                        Some(rr.residual_after())
+                    }
+                };
+                let t_block = scrub_targets(&ideal_block, &tile.read(&self.shift), device);
+                let unconverged;
+                (programmed, unconverged) = program_tile(device, &t_block, &tile_faults);
+                report.exhausted_cells += unconverged;
+                let residual_after = checksum_residual(&programmed, &t_block);
+                let healed = match weight_residual {
+                    // Remap rungs must restore *weight* accuracy, not just
+                    // agree with their own revised targets.
+                    Some(wr) => wr <= policy.weight_tolerance,
+                    None => residual_after <= policy.residual_threshold,
+                };
+                if monitor.record_attempt(tile.index, epoch, healed) == TileHealth::Quarantined {
+                    // The digital fallback takes over; the tile's
+                    // compensation is cleared.
+                    tile.write(&mut self.shift, &Tensor::zeros(ideal_block.shape()));
+                }
+                report.repairs.push(RepairAttempt {
+                    epoch,
+                    tile: tile.index,
+                    stage,
+                    residual_before,
+                    residual_after,
+                    healed,
+                });
+            }
+            tile.write(
+                &mut served,
+                &serve_tile(&tile, &monitor, ideal, || programmed),
+            );
+        }
+        report.quarantined_total = monitor.num_quarantined();
+        report.quarantined_now = report.quarantined_total - quarantined_before;
+        report.analog_tiles = grid.num_tiles() - report.quarantined_total;
+        self.epoch = Tensor::from_vec(vec![epoch as f32], &[1]).expect("length matches");
+        self.health = monitor.to_tensor();
+        Ok((report, served, faults))
+    }
+
+    /// Rebuilds what the last tick served, from the state alone — the
+    /// checkpoint-restore path. Returns the served conductances and the
+    /// epoch's stuck-cell map.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`MappingError`] if the persisted health state is
+    /// invalid.
+    pub fn served(
+        &self,
+        grid: &TileGrid,
+        device: &DeviceConfig,
+        ideal: &Tensor,
+    ) -> Result<(Tensor, FaultMap), MappingError> {
+        let monitor = self.monitor()?;
+        let faults = device
+            .lifetime()
+            .fault_map(grid.nd_total(), grid.n_in(), self.epoch());
+        let targets = scrub_targets(ideal, &self.shift, device);
+        let mut served = Tensor::zeros(ideal.shape());
+        for tile in grid.tiles() {
+            let block = serve_tile(&tile, &monitor, ideal, || {
+                program_tile(device, &tile.read(&targets), &tile.faults(&faults)).0
+            });
+            tile.write(&mut served, &block);
+        }
+        Ok((served, faults))
+    }
+
+    /// Checks the digital-fallback contract on a served view: every
+    /// quarantined tile must serve its ideal block bitwise, so its MVM
+    /// contribution is exactly what the ideal array would produce.
+    /// Vacuously `true` before the first tick; `false` also covers corrupt
+    /// health state.
+    pub fn fallback_parity(&self, grid: &TileGrid, ideal: &Tensor, served: &Tensor) -> bool {
+        if self.epoch() == 0 {
+            return true;
+        }
+        let Ok(monitor) = self.monitor() else {
+            return false;
+        };
+        grid.tiles()
+            .filter(|tile| monitor.state(tile.index) == TileHealth::Quarantined)
+            .all(|tile| {
+                let bits =
+                    |t| -> Vec<u32> { tile.read(t).data().iter().map(|v| v.to_bits()).collect() };
+                bits(served) == bits(ideal)
+            })
+    }
+}
+
+/// The one serve rule, shared by [`ScrubState::tick`] and
+/// [`ScrubState::served`]: a quarantined tile serves its ideal block (the
+/// exact digital fallback); every other tile serves `programmed`, the
+/// noiseless programming of `clamp(ideal + shift)` over the epoch's fault
+/// map.
+fn serve_tile(
+    tile: &Tile,
+    monitor: &HealthMonitor,
+    ideal: &Tensor,
+    programmed: impl FnOnce() -> Tensor,
+) -> Tensor {
+    if monitor.state(tile.index) == TileHealth::Quarantined {
+        tile.read(ideal)
+    } else {
+        programmed()
+    }
+}
+
+/// Elementwise `clamp(ideal + shift)` — the one formula the tick and the
+/// rebuild derive programming targets from, so the two stay bitwise
+/// identical.
+fn scrub_targets(ideal: &Tensor, shift: &Tensor, device: &DeviceConfig) -> Tensor {
+    let range = device.range();
+    let mut t = ideal.add(shift).expect("shift shape fixed at construction");
+    t.map_inplace(|v| range.clamp(v));
+    t
+}
+
+/// Noiseless write-verify programming of one tile: stuck cells keep
+/// their forced values, everything else lands exactly on target, and no
+/// randomness is consumed. Returns the programmed block and its count of
+/// unconverged cells.
+fn program_tile(device: &DeviceConfig, targets: &Tensor, faults: &FaultMap) -> (Tensor, usize) {
+    let (programmed, report) = device.programming().program_tensor(
+        targets,
+        &VariationModel::none(),
+        device.range(),
+        Some(faults),
+        &mut XorShiftRng::new(SCRUB_RNG_SEED),
+    );
+    (programmed, report.num_unconverged())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Mapping;
+    use crate::{CrossbarArray, Mapping};
     use xbar_device::{LifetimeFaultModel, TileShape};
-    use xbar_tensor::backend;
+    use xbar_tensor::{backend, linalg};
 
     fn reference(mapping: Mapping) -> CrossbarArray {
         let mut r = XorShiftRng::new(404);
         let w = Tensor::rand_uniform(&[12, 24], -0.02, 0.02, &mut r);
         let device = DeviceConfig::ideal().with_tile_shape(Some(TileShape::new(8, 8)));
         CrossbarArray::program_signed(&w, mapping, device, &mut r).unwrap()
+    }
+
+    /// One scrub tick of `xb` under `lifetime`, driven by the array's
+    /// targets, grid, periphery and device.
+    fn tick(
+        scrub: &mut ScrubState,
+        xb: &CrossbarArray,
+        lifetime: LifetimeFaultModel,
+    ) -> (ScrubReport, Tensor, FaultMap) {
+        let (device, policy) = (
+            xb.device().with_lifetime_faults(lifetime),
+            RepairPolicy::default(),
+        );
+        let (grid, periphery, ideal) = (xb.grid(), xb.periphery(), xb.targets());
+        scrub
+            .tick(grid, periphery, &device, ideal, true, &policy)
+            .unwrap()
+    }
+
+    /// Batched signed MVM of `xb`'s layout over the served conductances.
+    fn forward(xb: &CrossbarArray, served: &Tensor, x: &Tensor) -> Tensor {
+        xb.periphery()
+            .combine(&xb.grid().raw_mvm(served, x))
+            .unwrap()
     }
 
     #[test]
@@ -834,7 +772,7 @@ mod tests {
         );
         // Successful attempt: healthy again, fresh budget.
         assert_eq!(m.record_attempt(0, 10, true), TileHealth::Healthy);
-        assert_eq!(m.ewma(0), 0.0);
+        assert_eq!(m.tiles[0].ewma, 0.0);
         // Exhaust the whole budget: quarantined, observe becomes a no-op.
         for epoch in 20..23u32 {
             m.observe(0, 1.0, epoch);
@@ -843,7 +781,6 @@ mod tests {
         assert_eq!(m.state(0), TileHealth::Quarantined);
         assert_eq!(m.observe(0, 0.0, 30), HealthAction::AlreadyQuarantined);
         assert_eq!(m.num_quarantined(), 1);
-        assert_eq!(m.num_analog(), 0);
     }
 
     #[test]
@@ -884,7 +821,7 @@ mod tests {
         m.observe(2, 2.0, 1);
         m.observe(2, 2.0, 2);
         m.record_attempt(2, 2, false);
-        let flat = m.to_flat();
+        let flat = m.to_tensor().data().to_vec();
         assert_eq!(flat.len(), 12);
         let back = HealthMonitor::from_flat(&flat, policy).unwrap();
         assert_eq!(back, m);
@@ -905,101 +842,70 @@ mod tests {
         let mut r = XorShiftRng::new(11);
         let x = Tensor::rand_uniform(&[5, 24], -1.0, 1.0, &mut r);
         for mapping in Mapping::ALL {
-            let tiled = reference(mapping);
-            let mut healing = SelfHealingCrossbar::new(
-                &tiled,
-                LifetimeFaultModel::none(),
-                RepairPolicy::default(),
-            );
-            assert_eq!(
-                healing.forward(&x).unwrap().data(),
-                tiled.forward(&x).unwrap().data(),
-                "{mapping}: wrapper must match the reference bitwise"
-            );
+            let xb = reference(mapping);
+            let mut scrub = ScrubState::new(xb.grid());
             for _ in 0..3 {
-                let report = healing.scrub().unwrap();
+                let (report, served, faults) = tick(&mut scrub, &xb, LifetimeFaultModel::none());
                 assert_eq!(report.new_faults, 0);
                 assert_eq!(report.detections, 0);
                 assert!(report.repairs.is_empty());
                 assert_eq!(report.analog_coverage(), 1.0);
+                assert!(faults.is_pristine());
+                assert_eq!(
+                    forward(&xb, &served, &x).data(),
+                    xb.forward(&x).unwrap().data(),
+                    "{mapping}: scrubbing a wear-free array must change nothing"
+                );
             }
-            assert_eq!(
-                healing.forward(&x).unwrap().data(),
-                tiled.forward(&x).unwrap().data(),
-                "{mapping}: scrubbing a wear-free array must change nothing"
-            );
         }
     }
 
     #[test]
     fn forward_verified_flags_exactly_the_corrupted_tile() {
-        let tiled = reference(Mapping::Acm);
-        let mut healing =
-            SelfHealingCrossbar::new(&tiled, LifetimeFaultModel::none(), RepairPolicy::default());
-        let mut r = XorShiftRng::new(13);
-        let x = Tensor::rand_uniform(&[4, 24], 0.5, 1.0, &mut r);
-        let (y0, res0) = healing.forward_verified(&x).unwrap();
-        assert!(res0.iter().all(|&v| v < 1e-4), "clean array: {res0:?}");
-        assert_eq!(y0.data(), tiled.forward(&x).unwrap().data());
+        let xb = reference(Mapping::Acm);
+        let residuals = |physical: &Tensor| -> Vec<f32> {
+            xb.grid()
+                .tiles()
+                .map(|tile| checksum_residual(&tile.read(physical), &tile.read(xb.targets())))
+                .collect()
+        };
+        let clean = residuals(xb.effective_conductances());
+        assert!(clean.iter().all(|&v| v < 1e-4), "clean array: {clean:?}");
         // Corrupt one cell in tile 0 (rows 0..9 ACM group 0, cols 0..8).
-        healing.inject_soft_error(2, 3, 1.0);
-        let (_, res1) = healing.forward_verified(&x).unwrap();
-        assert!(res1[0] > 0.1, "corrupted tile must trip: {res1:?}");
+        let mut corrupted = xb.effective_conductances().clone();
+        *corrupted.at_mut(&[2, 3]) = 1.0;
+        let res = residuals(&corrupted);
+        assert!(res[0] > 0.1, "corrupted tile must trip: {res:?}");
         assert!(
-            res1[1..].iter().all(|&v| v < 1e-4),
-            "other tiles stay clean: {res1:?}"
-        );
-    }
-
-    #[test]
-    fn soft_error_is_detected_and_reprogrammed_away() {
-        let tiled = reference(Mapping::Acm);
-        let mut healing =
-            SelfHealingCrossbar::new(&tiled, LifetimeFaultModel::none(), RepairPolicy::default());
-        healing.inject_soft_error(2, 3, 1.0);
-        // Scrub 1: detection; scrub 2: reprogram heals it.
-        let r1 = healing.scrub().unwrap();
-        assert_eq!(r1.detections, 1);
-        assert!(r1.repairs.is_empty());
-        let r2 = healing.scrub().unwrap();
-        assert_eq!(r2.repairs.len(), 1);
-        assert_eq!(r2.repairs[0].stage, RepairStage::Reprogram);
-        assert!(r2.repairs[0].healed);
-        assert!(r2.repairs[0].residual_before > 0.1);
-        assert!(r2.repairs[0].residual_after < 1e-6);
-        assert_eq!(healing.monitor().num_quarantined(), 0);
-        // The array is back to the reference bitwise.
-        let mut r = XorShiftRng::new(17);
-        let x = Tensor::rand_uniform(&[3, 24], -1.0, 1.0, &mut r);
-        assert_eq!(
-            healing.forward(&x).unwrap().data(),
-            tiled.forward(&x).unwrap().data()
+            res[1..].iter().all(|&v| v < 1e-4),
+            "other tiles stay clean: {res:?}"
         );
     }
 
     #[test]
     fn lifetime_fault_escalates_to_remap_and_recovers_weights() {
         for mapping in [Mapping::Acm, Mapping::Perm] {
-            let tiled = reference(mapping);
-            let w_ideal = tiled.effective_weights();
+            let xb = reference(mapping);
             // Low rate: a few stuck cells over the first epochs.
             let lifetime = LifetimeFaultModel::new(0.002, 23).unwrap();
             let policy = RepairPolicy::default();
-            let mut healing = SelfHealingCrossbar::new(&tiled, lifetime, policy);
+            let mut scrub = ScrubState::new(xb.grid());
             // Scrub until the array quiesces: three consecutive epochs
             // with no arrivals, no repair activity, and no tile pending.
             let (mut detections, mut remaps, mut quiet, mut epochs) = (0, 0, 0, 0);
+            let mut last = None;
             while quiet < 3 && epochs < 80 {
-                let rep = healing.scrub().unwrap();
+                let (rep, served, faults) = tick(&mut scrub, &xb, lifetime);
                 detections += rep.detections;
                 remaps += rep
                     .repairs
                     .iter()
                     .filter(|a| a.stage != RepairStage::Reprogram && a.healed)
                     .count();
-                let pending = (0..healing.monitor().num_tiles()).any(|t| {
+                let monitor = scrub.monitor().unwrap();
+                let pending = xb.grid().tiles().any(|t| {
                     matches!(
-                        healing.monitor().state(t),
+                        monitor.state(t.index),
                         TileHealth::Suspect | TileHealth::Repairing
                     )
                 });
@@ -1009,16 +915,19 @@ mod tests {
                     quiet += 1;
                 }
                 epochs += 1;
+                last = Some((served, faults));
             }
+            let (served, faults) = last.unwrap();
             assert_eq!(quiet, 3, "{mapping}: wear never quiesced");
-            assert!(healing.fault_map().num_stuck() > 0, "{mapping}: no wear");
+            assert!(faults.num_stuck() > 0, "{mapping}: no wear");
             assert!(detections > 0, "{mapping}: wear was never detected");
             assert!(remaps > 0, "{mapping}: no successful remap repair");
             // Quiescent means every tile is Healthy (fault-free, or
             // remap-healed to within the policy's weight tolerance) or
             // Quarantined (served exactly by the digital fallback), so the
             // end-to-end weight error is bounded by the tolerance.
-            let w_healed = healing.effective_weights().unwrap();
+            let w_ideal = xb.effective_weights();
+            let w_healed = linalg::matmul(xb.periphery().matrix(), &served).unwrap();
             assert!(
                 w_healed.all_close(&w_ideal, 1.5 * policy.weight_tolerance),
                 "{mapping}: weight error {} after healing",
@@ -1029,51 +938,51 @@ mod tests {
 
     #[test]
     fn total_wearout_quarantines_everything_and_falls_back_exactly() {
-        let tiled = reference(Mapping::Acm);
+        let xb = reference(Mapping::Acm);
         let lifetime = LifetimeFaultModel::new(1.0, 3).unwrap();
-        let mut healing = SelfHealingCrossbar::new(&tiled, lifetime, RepairPolicy::default());
+        let mut scrub = ScrubState::new(xb.grid());
         // Every cell fails at epoch 1; no remap can absorb a fully stuck
         // tile, so the ladder runs dry and every tile quarantines.
-        let mut saw_quarantine_event = false;
+        let (mut saw_quarantine_event, mut last) = (false, None);
         for _ in 0..12 {
-            let rep = healing.scrub().unwrap();
+            let (rep, served, _) = tick(&mut scrub, &xb, lifetime);
             saw_quarantine_event |= rep.quarantined_now > 0;
-            if rep.analog_tiles == 0 {
-                break;
-            }
+            last = Some((rep, served));
         }
+        let (rep, served) = last.unwrap();
         assert!(saw_quarantine_event);
-        assert_eq!(
-            healing.monitor().num_quarantined(),
-            tiled.grid().num_tiles()
-        );
-        assert_eq!(healing.analog_coverage(), 0.0);
+        assert_eq!(rep.quarantined_total, xb.grid().num_tiles());
+        assert_eq!(rep.analog_coverage(), 0.0);
+        assert!(scrub.fallback_parity(xb.grid(), xb.targets(), &served));
         // Digital fallback serves the ideal fault-free output *exactly*.
         let mut r = XorShiftRng::new(29);
         let x = Tensor::rand_uniform(&[6, 24], -1.0, 1.0, &mut r);
         assert_eq!(
-            healing.forward(&x).unwrap().data(),
-            tiled.forward(&x).unwrap().data(),
+            forward(&xb, &served, &x).data(),
+            xb.forward(&x).unwrap().data(),
             "quarantined grid must be bitwise the ideal reference"
         );
     }
 
     #[test]
     fn scrub_and_forward_are_bitwise_serial_vs_pooled() {
-        let tiled = reference(Mapping::Acm);
+        let xb = reference(Mapping::Acm);
         let lifetime = LifetimeFaultModel::new(0.003, 51).unwrap();
         let run = |serial: bool| {
             backend::force_serial(serial);
-            let mut healing = SelfHealingCrossbar::new(&tiled, lifetime, RepairPolicy::default());
+            let mut scrub = ScrubState::new(xb.grid());
             let mut reports = Vec::new();
+            let mut served = None;
             for _ in 0..8 {
-                reports.push(healing.scrub().unwrap());
+                let (rep, view, _) = tick(&mut scrub, &xb, lifetime);
+                reports.push(rep);
+                served = Some(view);
             }
             let mut r = XorShiftRng::new(31);
             let x = Tensor::rand_uniform(&[7, 24], -1.0, 1.0, &mut r);
-            let y = healing.forward(&x).unwrap();
+            let y = forward(&xb, &served.unwrap(), &x);
             backend::force_serial(false);
-            (reports, y, healing.monitor().clone())
+            (reports, y, scrub.monitor().unwrap())
         };
         let (rep_s, y_s, mon_s) = run(true);
         let (rep_p, y_p, mon_p) = run(false);

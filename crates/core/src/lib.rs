@@ -35,8 +35,13 @@
 //!   through the int8 integer readout;
 //! * [`TileGrid`] — the tile layout of a mapped layer, whose
 //!   [`TileGrid::tiles`] walk every per-tile stage shares (programming,
-//!   parasitics, MVMs, [`SelfHealingCrossbar`] and the training-side
-//!   scrub);
+//!   parasitics, MVMs and the scrub);
+//! * [`ScrubState`] — the run-time self-healing loop: per scrub epoch,
+//!   lifetime fault arrivals, per-tile ABFT checksum detection, the
+//!   [`RepairStage`] ladder under a [`RepairPolicy`], and exact digital
+//!   fallback for quarantined tiles. It borrows the layer it scrubs — a
+//!   programmed array's `targets()` / `grid()` / `periphery()` /
+//!   `device()`, or a trained parameter's quantized conductances;
 //! * [`remap_for_faults`] — fault-aware remapping: stuck-at defects are
 //!   absorbed into the null-space slack of `W = S·M` (shifting a column by
 //!   `c·x_h` changes no weight), with the unabsorbable residual reported;
@@ -82,10 +87,7 @@ pub use balance::{balance_profile, BalanceProfile};
 pub use crossbar::{magnitude_permutation, permute_rows, CrossbarArray};
 pub use decompose::{compose, decompose, decompose_with_periphery, max_representable_scale};
 pub use error::MappingError;
-pub use healing::{
-    checksum_residual, HealthAction, HealthMonitor, RepairAttempt, RepairPolicy, RepairStage,
-    ScrubReport, SelfHealingCrossbar, TileHealth,
-};
+pub use healing::{RepairAttempt, RepairPolicy, RepairStage, ScrubReport, ScrubState};
 pub use mapping::{Mapping, ParseMappingError};
 pub use periphery::PeripheryMatrix;
 pub use quantized::{quantized_raw_batch, QuantReadout};

@@ -151,18 +151,34 @@ impl LifetimeFaultModel {
     /// Materializes the full fault map of a `rows × cols` array at scrub
     /// epoch `epoch`.
     pub fn fault_map(&self, rows: usize, cols: usize, epoch: u32) -> FaultMap {
+        self.fault_map_with_arrivals(rows, cols, epoch).0
+    }
+
+    /// [`LifetimeFaultModel::fault_map`] plus the number of cells whose
+    /// fault arrives exactly at `epoch` — the new stuck cells of that
+    /// epoch, counted in the same single pass over the cells.
+    pub fn fault_map_with_arrivals(
+        &self,
+        rows: usize,
+        cols: usize,
+        epoch: u32,
+    ) -> (FaultMap, usize) {
         let mut map = FaultMap::pristine(rows, cols);
+        let mut arrivals = 0;
         if self.is_none() || epoch == 0 {
-            return map;
+            return (map, arrivals);
         }
         for row in 0..rows {
             for col in 0..cols {
-                if let Some(kind) = self.fault_at(row, col, epoch) {
-                    map.set(row, col, kind);
+                if let Some((at, kind)) = self.arrival(row, col) {
+                    if at <= epoch {
+                        map.set(row, col, kind);
+                        arrivals += usize::from(at == epoch);
+                    }
                 }
             }
         }
-        map
+        (map, arrivals)
     }
 }
 
@@ -210,6 +226,10 @@ mod tests {
             for (row, col, kind) in now.iter_stuck() {
                 assert_eq!(later.get(row, col), Some(kind), "({row},{col})");
             }
+            // The single-pass arrival count is the growth of the map.
+            let (map, arrivals) = m.fault_map_with_arrivals(12, 10, epoch + 1);
+            assert_eq!(map, later);
+            assert_eq!(arrivals, later.num_stuck() - now.num_stuck());
         }
     }
 

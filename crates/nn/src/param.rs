@@ -2,37 +2,14 @@
 //! the paper's `W = S · M` factorization.
 
 use xbar_core::{
-    checksum_residual, magnitude_permutation, permute_rows, quantized_raw_batch, remap_for_faults,
-    HealthAction, HealthMonitor, Mapping, PeripheryMatrix, QuantReadout, RepairAttempt,
-    RepairPolicy, RepairStage, ScrubReport, TileGrid, TileHealth,
+    magnitude_permutation, permute_rows, quantized_raw_batch, Mapping, PeripheryMatrix,
+    QuantReadout, RepairPolicy, ScrubReport, ScrubState, TileGrid,
 };
-use xbar_device::{ConductanceRange, DeviceConfig};
+use xbar_device::DeviceConfig;
 use xbar_tensor::rng::XorShiftRng;
 use xbar_tensor::{linalg, qmatmul_nt, QuantizedTensor, Tensor};
 
 use crate::NnError;
-
-/// Persistent state of the online self-healing loop of one mapped
-/// parameter — present exactly when the parameter is crossbar-mapped AND
-/// its device carries an active [`xbar_device::LifetimeFaultModel`]
-/// (decided once at construction, so the checkpoint component count never
-/// depends on runtime events).
-///
-/// Everything is kept as tensors so it rides the ordinary
-/// [`crate::StateVisitor`] checkpoint path; the served conductance
-/// override is *not* persisted — it is a pure function of
-/// `(shadow, shift, health, epoch)` and is rebuilt after a restore.
-#[derive(Debug, Clone)]
-struct ScrubState {
-    /// Scrub epoch counter, shape `[1]` (0 = never scrubbed).
-    epoch: Tensor,
-    /// Flattened [`HealthMonitor`], 4 floats per tile.
-    health: Tensor,
-    /// Persistent remap compensation: programming targets are
-    /// `clamp(q(M) + shift)` elementwise, so a compensation decided at
-    /// repair time keeps tracking the trained conductances.
-    shift: Tensor,
-}
 
 /// How a layer's weights are realised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,8 +93,8 @@ pub struct MappedParam {
     /// Private stream for stochastic pulse rounding (nonlinear in-situ
     /// updates), seeded deterministically from the initial weights.
     update_rng: XorShiftRng,
-    /// Online self-healing state; `Some` iff mapped with an active
-    /// lifetime fault model.
+    /// Online self-healing state over the quantized conductances `q(M)`;
+    /// `Some` iff mapped with an active lifetime fault model.
     scrub: Option<ScrubState>,
 }
 
@@ -247,11 +224,10 @@ impl MappedParam {
                 // The scrub state exists iff the device wears out, decided
                 // here once: the checkpoint component list must not change
                 // under runtime events, only under construction config.
-                let scrub = device.lifetime().is_active().then(|| ScrubState {
-                    epoch: Tensor::zeros(&[1]),
-                    health: Tensor::zeros(&[grid.num_tiles() * 4]),
-                    shift: Tensor::zeros(&[grid.nd_total(), n_in]),
-                });
+                let scrub = device
+                    .lifetime()
+                    .is_active()
+                    .then(|| ScrubState::new(&grid));
                 Ok(Self {
                     kind,
                     grid: Some(grid),
@@ -860,26 +836,16 @@ impl MappedParam {
     /// The current scrub epoch (0 = never scrubbed, or scrubbing
     /// inactive).
     pub fn scrub_epoch(&self) -> u32 {
-        self.scrub.as_ref().map_or(0, |s| s.epoch.data()[0] as u32)
+        self.scrub.as_ref().map_or(0, ScrubState::epoch)
     }
 
-    /// Advances this parameter's crossbar one scrub epoch: overlays the
-    /// lifetime fault arrivals for the new epoch, refresh-programs every
-    /// tile from the trained conductances (plus any persistent remap
-    /// compensation), and — with `detect` set — runs the ABFT checksum
-    /// detection, staged-repair, and quarantine loop of
-    /// [`xbar_core::SelfHealingCrossbar`] against `policy`. The resulting
-    /// served conductances are installed as the inference override, so
-    /// subsequent forward passes read the aged (and healed) array.
-    ///
-    /// With `detect` unset the refresh programming still happens but the
-    /// health machinery is bypassed entirely — the maintenance-free
-    /// deployment an experiment compares against.
-    ///
-    /// Scrub-path programming is noiseless and consumes no RNG, so the
-    /// whole array state after any tick is a pure function of
-    /// `(shadow, shift, health, epoch)` — which is exactly what a
-    /// checkpoint persists and [`MappedParam::visit_state`] rebuilds.
+    /// Advances this parameter's crossbar one scrub epoch —
+    /// [`ScrubState::tick`] over the quantized conductances `q(M)`, with
+    /// detection and repair under `policy` when `detect` is set — and
+    /// installs the served conductances as the inference override, so
+    /// later forward passes read the aged (and healed) array. The served
+    /// array is a pure function of `(shadow, shift, health, epoch)`, which
+    /// a checkpoint persists and [`MappedParam::visit_state`] rebuilds.
     ///
     /// Returns `None` (and changes nothing, bitwise) when scrubbing is
     /// inactive.
@@ -897,212 +863,47 @@ impl MappedParam {
             return Ok(None);
         }
         let q = self.quantized_shadow();
-        let grid = self.grid.clone().expect("scrub state implies a grid");
-        let periphery = self
-            .periphery
-            .clone()
-            .expect("mapped parameters carry a periphery");
-        let lifetime = self.device.lifetime();
-        let range = self.device.range();
-        let programming = self.device.programming();
-        let (nd, n_in) = (grid.nd_total(), self.n_in);
-
-        let scrub = self.scrub.as_mut().expect("checked above");
-        let epoch = scrub.epoch.data()[0] as u32 + 1;
-        let faults = lifetime.fault_map(nd, n_in, epoch);
-        let prev_stuck = lifetime.fault_map(nd, n_in, epoch - 1).num_stuck();
-        let mut monitor =
-            HealthMonitor::from_flat(scrub.health.data(), *policy).map_err(NnError::Mapping)?;
-        let quarantined_before = monitor.num_quarantined();
-        let targets = scrub_targets(&q, &scrub.shift, range);
-        let mut served = Tensor::zeros(&[nd, n_in]);
-        let mut report = ScrubReport {
-            epoch,
-            new_faults: faults.num_stuck() - prev_stuck,
-            detections: 0,
-            repairs: Vec::new(),
-            quarantined_now: 0,
-            quarantined_total: 0,
-            analog_tiles: 0,
-            total_tiles: grid.num_tiles(),
-            exhausted_cells: 0,
+        let (Some(scrub), Some(grid), Some(periphery)) =
+            (&mut self.scrub, &self.grid, &self.periphery)
+        else {
+            unreachable!("scrub state implies a mapped grid and periphery");
         };
-        // Noiseless scrub programming consumes no randomness; the stream
-        // exists only to satisfy the programming API.
-        let mut rng = XorShiftRng::new(SCRUB_RNG_SEED);
-        for tile in grid.tiles() {
-            let tf = tile.faults(&faults);
-            let t_block = tile.read(&targets);
-            let q_block = tile.read(&q);
-            let (prog, prep) = programming.program_tensor(
-                &t_block,
-                &xbar_device::VariationModel::none(),
-                range,
-                Some(&tf),
-                &mut rng,
-            );
-            report.exhausted_cells += prep.num_unconverged();
-            let mut serve = prog;
-            if detect {
-                let residual = checksum_residual(&serve, &t_block);
-                match monitor.observe(tile.index, residual, epoch) {
-                    HealthAction::Detected => report.detections += 1,
-                    HealthAction::Repair(stage) => {
-                        // The remap rungs revise this tile's block of the
-                        // persistent shift tensor; targets are then
-                        // recomputed from the `clamp(q + shift)` formula so
-                        // a checkpoint rebuild reproduces the same f32
-                        // operations bitwise.
-                        let weight_residual = match stage {
-                            RepairStage::Reprogram => None,
-                            RepairStage::Remap | RepairStage::FullRemap => {
-                                let base = if stage == RepairStage::FullRemap {
-                                    &q_block
-                                } else {
-                                    &t_block
-                                };
-                                let stencil =
-                                    tile.group.stencil(&periphery).map_err(NnError::Mapping)?;
-                                let (shifted, rr) = remap_for_faults(base, &stencil, &tf, range)
-                                    .map_err(NnError::Mapping)?;
-                                let shift_block = shifted.sub(&q_block).map_err(NnError::Shape)?;
-                                tile.write(&mut scrub.shift, &shift_block);
-                                Some(rr.residual_after())
-                            }
-                        };
-                        let t_block = scrub_targets(&q_block, &tile.read(&scrub.shift), range);
-                        let (prog2, prep2) = programming.program_tensor(
-                            &t_block,
-                            &xbar_device::VariationModel::none(),
-                            range,
-                            Some(&tf),
-                            &mut rng,
-                        );
-                        report.exhausted_cells += prep2.num_unconverged();
-                        let residual_after = checksum_residual(&prog2, &t_block);
-                        let healed = match weight_residual {
-                            Some(wr) => wr <= policy.weight_tolerance,
-                            None => residual_after <= policy.residual_threshold,
-                        };
-                        let state_after = monitor.record_attempt(tile.index, epoch, healed);
-                        serve = prog2;
-                        if state_after == TileHealth::Quarantined {
-                            // Exact digital fallback: the tile's partial
-                            // product comes from the ideal quantized
-                            // conductances; its compensation is cleared.
-                            tile.write(
-                                &mut scrub.shift,
-                                &Tensor::zeros(&[tile.group.dev_len, tile.row_len]),
-                            );
-                            serve = q_block.clone();
-                        }
-                        report.repairs.push(RepairAttempt {
-                            epoch,
-                            tile: tile.index,
-                            stage,
-                            residual_before: residual,
-                            residual_after,
-                            healed,
-                        });
-                    }
-                    HealthAction::AlreadyQuarantined => serve = q_block.clone(),
-                    HealthAction::Nothing | HealthAction::Backoff => {}
-                }
-            }
-            tile.write(&mut served, &serve);
-        }
-        report.quarantined_total = monitor.num_quarantined();
-        report.quarantined_now = report.quarantined_total - quarantined_before;
-        report.analog_tiles = grid.num_tiles() - report.quarantined_total;
-        scrub.epoch = Tensor::from_vec(vec![epoch as f32], &[1]).expect("len matches");
-        let flat = monitor.to_flat();
-        let flat_len = flat.len();
-        scrub.health = Tensor::from_vec(flat, &[flat_len]).expect("len matches");
+        let (report, served, faults) = scrub
+            .tick(grid, periphery, &self.device, &q, detect, policy)
+            .map_err(NnError::Mapping)?;
         self.variation_override = Some(served);
         self.fault_map = Some(faults);
         Ok(Some(report))
     }
 
     /// Rebuilds the served conductance override from the persisted scrub
-    /// state — called after a checkpoint restore so a resumed run forwards
-    /// through exactly the array the interrupted run was serving. The
-    /// served view is a pure function of `(shadow, shift, health, epoch)`:
-    /// quarantined tiles serve the ideal quantized block, everything else
-    /// is noiselessly refresh-programmed over the epoch's fault map.
+    /// state ([`ScrubState::served`]) — so a resumed run forwards through
+    /// exactly the array the interrupted run was serving. Before the
+    /// first tick nothing is served, and the override is left alone.
     fn rebuild_scrub_override(&mut self) {
-        let Some(scrub) = &self.scrub else { return };
-        let epoch = scrub.epoch.data()[0] as u32;
-        if epoch == 0 {
+        let (Some(scrub), Some(grid)) = (&self.scrub, &self.grid) else {
+            return;
+        };
+        if scrub.epoch() == 0 {
             return;
         }
-        let grid = self.grid.as_ref().expect("scrub state implies a grid");
-        let lifetime = self.device.lifetime();
-        let range = self.device.range();
-        let programming = self.device.programming();
-        let (nd, n_in) = (grid.nd_total(), self.n_in);
-        let faults = lifetime.fault_map(nd, n_in, epoch);
-        let q = self.quantized_shadow();
-        let targets = scrub_targets(&q, &scrub.shift, range);
-        // The policy is irrelevant here: only the persisted per-tile
-        // states are read, no repair decision is taken.
-        let monitor = HealthMonitor::from_flat(scrub.health.data(), RepairPolicy::default())
+        let (served, faults) = scrub
+            .served(grid, &self.device, &self.quantized_shadow())
             .expect("scrub health tensor holds monitor-encoded state");
-        let mut served = Tensor::zeros(&[nd, n_in]);
-        let mut rng = XorShiftRng::new(SCRUB_RNG_SEED);
-        for tile in grid.tiles() {
-            let serve = if monitor.state(tile.index) == TileHealth::Quarantined {
-                tile.read(&q)
-            } else {
-                programming
-                    .program_tensor(
-                        &tile.read(&targets),
-                        &xbar_device::VariationModel::none(),
-                        range,
-                        Some(&tile.faults(&faults)),
-                        &mut rng,
-                    )
-                    .0
-            };
-            tile.write(&mut served, &serve);
-        }
         self.variation_override = Some(served);
         self.fault_map = Some(faults);
     }
 
-    /// Checks the digital-fallback contract on the live served array:
-    /// every quarantined tile's served conductances must equal the
-    /// fault-free quantized shadow block bitwise, so a quarantined tile's
-    /// MVM contribution is exactly what the ideal array would produce.
-    /// Vacuously `true` when scrubbing is inactive or no tick has run;
-    /// `false` also covers corrupt health state.
+    /// [`ScrubState::fallback_parity`] on the live served array: every
+    /// quarantined tile must serve the fault-free quantized conductances
+    /// bitwise. Vacuously `true` when scrubbing is inactive.
     pub fn scrub_fallback_parity(&self) -> bool {
-        let Some(scrub) = &self.scrub else {
-            return true;
-        };
-        if scrub.epoch.data()[0] as u32 == 0 {
-            return true;
+        match (&self.scrub, &self.grid, &self.variation_override) {
+            (Some(scrub), Some(grid), Some(served)) => {
+                scrub.fallback_parity(grid, &self.quantized_shadow(), served)
+            }
+            _ => true,
         }
-        let (Some(served), Some(grid)) = (&self.variation_override, &self.grid) else {
-            return true;
-        };
-        let Ok(monitor) = HealthMonitor::from_flat(scrub.health.data(), RepairPolicy::default())
-        else {
-            return false;
-        };
-        let q = self.quantized_shadow();
-        grid.tiles()
-            .filter(|tile| monitor.state(tile.index) == TileHealth::Quarantined)
-            .all(|tile| {
-                let g = tile.group;
-                (g.dev_start..g.dev_start + g.dev_len).all(|row| {
-                    let start = row * self.n_in + tile.row_start;
-                    let cells = start..start + tile.row_len;
-                    served.data()[cells.clone()]
-                        .iter()
-                        .zip(&q.data()[cells])
-                        .all(|(s, i)| s.to_bits() == i.to_bits())
-                })
-            })
     }
 
     /// Visits the accumulated shadow-gradient tensor — the flatten/scatter
@@ -1155,35 +956,12 @@ impl MappedParam {
         // `rebuild_scrub_override`. Absent when scrubbing is inactive, so
         // pre-existing checkpoints keep their exact component list.
         if let Some(scrub) = &mut self.scrub {
-            visitor.checked_tensor(&format!("{prefix}scrub_epoch"), &mut scrub.epoch, &|e| {
-                let epoch = e.data()[0];
-                if epoch >= 0.0 && epoch.fract() == 0.0 && epoch < u32::MAX as f32 {
-                    Ok(())
-                } else {
-                    Err(format!("scrub epoch {epoch} is not a non-negative integer"))
-                }
-            });
-            visitor.checked_tensor(&format!("{prefix}scrub_health"), &mut scrub.health, &|h| {
-                HealthMonitor::from_flat(h.data(), RepairPolicy::default())
-                    .map(drop)
-                    .map_err(|e| e.to_string())
-            });
-            visitor.tensor(&format!("{prefix}scrub_shift"), &mut scrub.shift);
+            for (name, tensor, check) in scrub.tensors_mut() {
+                visitor.checked_tensor(&format!("{prefix}scrub_{name}"), tensor, &check);
+            }
             self.rebuild_scrub_override();
         }
     }
-}
-
-/// Deterministic seed of the (never-consumed) scrub programming stream.
-const SCRUB_RNG_SEED: u64 = 0x5C2B;
-
-/// Elementwise `clamp(q + shift)` — the single formula both the scrub
-/// tick and the checkpoint rebuild derive programming targets from, so
-/// the two paths stay bitwise identical.
-fn scrub_targets(q: &Tensor, shift: &Tensor, range: ConductanceRange) -> Tensor {
-    let mut t = q.add(shift).expect("shift shape fixed at construction");
-    t.map_inplace(|v| range.clamp(v));
-    t
 }
 
 /// Checks a stored [`Mapping::Perm`] row order: each column group's
@@ -2025,6 +1803,47 @@ mod tests {
         restore_state(&mut other, &snapshot).unwrap();
         let got = other.forward(&x, false).unwrap();
         assert_eq!(got.data(), want.data(), "scrub restore must be bitwise");
+    }
+
+    #[test]
+    fn scrub_ticks_are_bitwise_pinned() {
+        // Twelve ticks of tiled ACM and Perm parameters, detection on and
+        // off, digested as raw bits: the served override after every tick,
+        // the report sequence, and the collected checkpoint state. The
+        // constants pin the scrub loop's programming, repair and
+        // quarantine arithmetic; none of them may move.
+        use crate::persist::{collect_state, crc32};
+        use crate::Dense;
+        let expected: [[u32; 3]; 4] = [
+            [0xe3f3_07c0, 0x6cde_3670, 0xc33c_d63b],
+            [0x0bb7_714c, 0xb4e3_6a30, 0x8467_8e99],
+            [0x6893_d403, 0x6ca2_6bf8, 0x5e2b_936a],
+            [0x59a8_fc44, 0xb4e3_6a30, 0x5510_5500],
+        ];
+        let cases = [
+            (Mapping::Acm, true),
+            (Mapping::Acm, false),
+            (Mapping::Perm, true),
+            (Mapping::Perm, false),
+        ];
+        let mut got = [[0u32; 3]; 4];
+        for (digest, (mapping, detect)) in got.iter_mut().zip(cases) {
+            let mut rng = XorShiftRng::new(170);
+            let kind = WeightKind::Mapped(mapping);
+            let mut net = Dense::new(24, 12, kind, lifetime_device(0.05, 9), &mut rng).unwrap();
+            // `{:?}` prints every f32 in its shortest round-trip form, so
+            // the text pins each value exactly.
+            let (mut served, mut reports) = (String::new(), String::new());
+            for _ in 0..12 {
+                let p = net.weights_mut();
+                let rep = p.scrub_tick(detect, &RepairPolicy::default()).unwrap();
+                reports += &format!("{rep:?}");
+                served += &format!("{:?}", p.variation_override);
+            }
+            let state = format!("{:?}", collect_state(&mut net));
+            *digest = [served, reports, state].map(|text| crc32(text.as_bytes()));
+        }
+        assert_eq!(got, expected, "scrub ticks drifted: {got:#x?}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Autotuned GEMM kernel dispatch: routine registry, per-shape selector,
 //! and the glue to the persistent tune cache ([`crate::tune`]).
 //!
-//! Every matmul variant enters through [`dispatch`], which picks one of
+//! Every matmul variant enters through `dispatch`, which picks one of
 //! the registered [`Routine`]s for the problem shape. Selection happens
 //! in three tiers:
 //!
@@ -1140,7 +1140,7 @@ fn transpose_into(src: &[f32], dst: &mut [f32], k: usize, m: usize) {
 mod tests {
     use super::*;
     use crate::rng::XorShiftRng;
-    use crate::tune::test_support::{guard, temp_cache};
+    use crate::tune::test_support::temp_cache;
     use crate::Tensor;
 
     #[test]
@@ -1377,7 +1377,6 @@ mod tests {
 
     #[test]
     fn selector_sources_follow_cache_state() {
-        let _g = guard();
         let path = temp_cache("selector");
         let _ = std::fs::remove_file(&path);
         // Small problems never consult the cache.
@@ -1410,7 +1409,6 @@ mod tests {
 
     #[test]
     fn cached_unknown_routine_falls_back_to_static() {
-        let _g = guard();
         let path = temp_cache("unknown-routine");
         let key = ShapeClass::of(&Problem::new(false, false, 256, 256, 256)).key();
         std::fs::write(
@@ -1448,7 +1446,6 @@ mod tests {
 
     #[test]
     fn q_selector_sources_follow_cache_state() {
-        let _g = guard();
         let path = temp_cache("q-selector");
         let _ = std::fs::remove_file(&path);
         crate::tune::reload_from(None, true).unwrap();

@@ -1,7 +1,7 @@
 //! Fixed-point GEMM kernels: `u8 × i8 → i32`, NT layout.
 //!
-//! These are the integer counterparts of the f32 engine in
-//! [`crate::gemm`]: `out[i·n + j] = Σ_p a[i·k + p] · b[j·k + p]` with `a`
+//! These are the integer counterparts of the f32 engine in the private
+//! `gemm` module: `out[i·n + j] = Σ_p a[i·k + p] · b[j·k + p]` with `a`
 //! an `m × k` row-major matrix of *unsigned* codes and `b` an `n × k`
 //! row-major matrix of *signed* codes. The NT (row-dot-row) layout is the
 //! one every quantized consumer produces naturally: activations ×

@@ -25,7 +25,7 @@ use std::fmt;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Cache file format version.
 pub const CACHE_VERSION: f64 = 1.0;
@@ -125,9 +125,10 @@ struct State {
     save_error: Option<TuneError>,
 }
 
-fn state() -> &'static Mutex<State> {
-    static STATE: OnceLock<Mutex<State>> = OnceLock::new();
-    STATE.get_or_init(|| {
+impl State {
+    /// The state the environment configures (`XBAR_AUTOTUNE`,
+    /// `XBAR_TUNE_CACHE`), with the cache file loaded.
+    fn from_env() -> Self {
         let enabled = !std::env::var("XBAR_AUTOTUNE").is_ok_and(|v| v.trim() == "0");
         let path = std::env::var("XBAR_TUNE_CACHE")
             .ok()
@@ -150,8 +151,25 @@ fn state() -> &'static Mutex<State> {
                 }
             }
         }
-        Mutex::new(st)
-    })
+        st
+    }
+}
+
+#[cfg(not(test))]
+fn state() -> &'static Mutex<State> {
+    static STATE: std::sync::OnceLock<Mutex<State>> = std::sync::OnceLock::new();
+    STATE.get_or_init(|| Mutex::new(State::from_env()))
+}
+
+/// In this crate's unit tests every test thread owns its tune state, so a
+/// test that points the cache at a temp file never sees entries that
+/// GEMMs in concurrently running tests measure and persist.
+#[cfg(test)]
+fn state() -> &'static Mutex<State> {
+    thread_local! {
+        static STATE: &'static Mutex<State> = Box::leak(Box::new(Mutex::new(State::from_env())));
+    }
+    STATE.with(|s| *s)
 }
 
 fn lock() -> std::sync::MutexGuard<'static, State> {
@@ -369,17 +387,6 @@ fn save(path: &Path, entries: &HashMap<String, CacheEntry>) -> Result<(), TuneEr
 
 #[cfg(test)]
 pub(crate) mod test_support {
-    //! Shared lock serializing tests that mutate the global tune state.
-    use std::sync::Mutex;
-
-    /// Tests touching [`super::reload_from`] must hold this.
-    pub static TUNE_TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    /// Grabs the lock even if a prior test panicked while holding it.
-    pub fn guard() -> std::sync::MutexGuard<'static, ()> {
-        TUNE_TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// A unique temp-file path for tune-cache tests.
     pub fn temp_cache(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("xbar-tune-{}-{tag}.json", std::process::id()))
@@ -388,7 +395,7 @@ pub(crate) mod test_support {
 
 #[cfg(test)]
 mod tests {
-    use super::test_support::{guard, temp_cache};
+    use super::test_support::temp_cache;
     use super::*;
 
     fn entry(routine: &str, ms: f64) -> CacheEntry {
@@ -456,7 +463,6 @@ mod tests {
 
     #[test]
     fn reload_from_broken_file_falls_back_without_clobbering() {
-        let _g = guard();
         let path = temp_cache("broken");
         fs::write(&path, "not json at all").unwrap();
         let before = fs::read_to_string(&path).unwrap();
@@ -467,14 +473,13 @@ mod tests {
         // record() must not overwrite the broken file (the selector never
         // measures while broken, but guard the invariant directly too).
         assert_eq!(fs::read_to_string(&path).unwrap(), before);
-        // Restore pristine global state for other tests.
+        // Restore the pristine state for later tests on this thread.
         reload_from(None, true).unwrap();
         let _ = fs::remove_file(&path);
     }
 
     #[test]
     fn record_persists_and_reload_marks_from_file() {
-        let _g = guard();
         let path = temp_cache("record");
         let _ = fs::remove_file(&path);
         reload_from(Some(&path), true).unwrap();

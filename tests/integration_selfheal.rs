@@ -11,8 +11,10 @@ use xbar_core::{Mapping, RepairPolicy};
 use xbar_data::SyntheticMnist;
 use xbar_device::{DeviceConfig, LifetimeFaultModel, TileShape};
 use xbar_nn::persist;
-use xbar_nn::{scrub_network, train, Dense, Flatten, Relu, Sequential, TrainConfig, WeightKind};
-use xbar_tensor::rng::XorShiftRng;
+use xbar_nn::{
+    scrub_network, train, Dense, Flatten, Layer, Relu, Sequential, TrainConfig, WeightKind,
+};
+use xbar_tensor::{rng::XorShiftRng, Tensor};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("xbar-selfheal-{tag}-{}", std::process::id()));
@@ -70,6 +72,47 @@ fn scrub_cycle_detects_and_repairs_at_this_scale() {
     assert!(faults > 0, "no lifetime faults arrived in 4 epochs");
     assert!(detections > 0, "stuck cells must trip the ABFT checksum");
     assert!(repairs > 0, "detections must escalate to repair attempts");
+}
+
+/// A tick with detection off skips only observation and repair: a
+/// quarantined tile keeps serving its exact digital fallback. Collecting a
+/// checkpoint rebuilds the served array from the persisted state, so it
+/// must leave the live forward output alone, and a restored copy must
+/// forward the same bits.
+#[test]
+fn detect_off_tick_keeps_quarantined_tiles_on_the_fallback() {
+    let device = DeviceConfig::quantized_linear(4)
+        .with_tile_shape(Some(TileShape::new(8, 8)))
+        .with_lifetime_faults(LifetimeFaultModel::new(0.05, 9).unwrap());
+    let build = || {
+        let mut rng = XorShiftRng::new(9);
+        let mut net = Sequential::new();
+        net.push(Dense::new(24, 12, WeightKind::Mapped(Mapping::Acm), device, &mut rng).unwrap());
+        net
+    };
+    let mut net = build();
+    let policy = RepairPolicy::default();
+    for _ in 0..12 {
+        scrub_network(&mut net, true, &policy).unwrap();
+    }
+    let off = scrub_network(&mut net, false, &policy).unwrap().unwrap();
+    assert!(off.quarantined_total > 0, "the wear must quarantine a tile");
+
+    let x = Tensor::rand_uniform(&[5, 24], -1.0, 1.0, &mut XorShiftRng::new(10));
+    let live = net.forward(&x, false).unwrap();
+    let snapshot = persist::collect_state(&mut net);
+    assert_eq!(
+        net.forward(&x, false).unwrap().data(),
+        live.data(),
+        "collecting a checkpoint changed the served array"
+    );
+    let mut restored = build();
+    persist::restore_state(&mut restored, &snapshot).unwrap();
+    assert_eq!(
+        restored.forward(&x, false).unwrap().data(),
+        live.data(),
+        "a restored copy serves a different array"
+    );
 }
 
 #[test]
