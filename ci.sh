@@ -22,6 +22,13 @@ E2E_LINE=$(cargo run --quiet --release --offline --manifest-path e2ebench/Cargo.
 echo "$E2E_LINE" | grep -q '"correct": true'
 echo "$E2E_LINE" | grep -q '"failed": 0'
 echo "    e2ebench scrub_lifetime_lenet smoke: correct, 0 failed"
+# The int8 workload is the only one through the cached integer readout
+# (rounds after the first must reproduce it bitwise).
+E2E_LINE=$(cargo run --quiet --release --offline --manifest-path e2ebench/Cargo.toml -- \
+    --workload infer_int8_mlp --seed 1 --seconds 1 --trace 0 | tail -n 1)
+echo "$E2E_LINE" | grep -q '"correct": true'
+echo "$E2E_LINE" | grep -q '"failed": 0'
+echo "    e2ebench infer_int8_mlp smoke: correct, 0 failed"
 
 echo "==> cargo test --workspace ${CI_FEATURES:-}"
 # shellcheck disable=SC2086  # CI_FEATURES is intentionally word-split

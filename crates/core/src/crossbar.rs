@@ -1,7 +1,10 @@
+use std::sync::OnceLock;
+
 use xbar_device::{DeviceConfig, FaultMap, ProgrammingReport};
 use xbar_tensor::rng::XorShiftRng;
-use xbar_tensor::{backend, linalg, Tensor};
+use xbar_tensor::{backend, Tensor};
 
+use crate::quantized::ReadoutImage;
 use crate::{remap_for_faults, Mapping, MappingError, PeripheryMatrix, RemapReport, TileGrid};
 
 /// A behavioural simulator of one programmed crossbar layer plus its
@@ -76,6 +79,10 @@ pub struct CrossbarArray {
     faults: FaultMap,
     /// Merged outcome of the most recent per-tile programming passes.
     report: ProgrammingReport,
+    /// The integer readout's operands of `effective`, built by the first
+    /// [`CrossbarArray::forward_quantized`] and reset whenever
+    /// `effective` changes.
+    pub(crate) readout: OnceLock<ReadoutImage>,
 }
 
 /// Stable descending order of the device rows of `M (N_D × N_I)` by total
@@ -329,6 +336,7 @@ impl CrossbarArray {
                 effective,
                 faults,
                 report,
+                readout: OnceLock::new(),
             },
             remap_report,
         ))
@@ -397,7 +405,8 @@ impl CrossbarArray {
     /// The effective signed weight matrix `S · G` realised by the array,
     /// including the parasitic read non-idealities.
     pub fn effective_weights(&self) -> Tensor {
-        linalg::matmul(self.periphery.matrix(), &self.effective)
+        self.periphery
+            .mul(&self.effective)
             .expect("periphery and conductances are dimension-checked at construction")
     }
 
@@ -457,6 +466,7 @@ impl CrossbarArray {
         self.programmed = programmed;
         self.effective = effective;
         self.report = report;
+        self.readout.take();
     }
 
     /// Raw analog column outputs `y_dev = G · x` for a 1-D input of length
@@ -488,7 +498,8 @@ impl CrossbarArray {
     /// Returns a shape error on input-length mismatch.
     pub fn mvm_signed(&self, x: &Tensor) -> Result<Tensor, MappingError> {
         let raw = self.mvm_raw(x)?;
-        linalg::matvec(self.periphery.matrix(), &raw).map_err(MappingError::from)
+        let y = self.periphery.combine(&raw.reshape(&[1, raw.len()])?)?;
+        Ok(y.reshape(&[self.n_out()])?)
     }
 
     /// Batched signed MVM: `X (batch × N_I) → Y (batch × N_O)`, with the
@@ -547,6 +558,7 @@ impl CrossbarArray {
 mod tests {
     use super::*;
     use xbar_device::{DeviceConfig, UpdateModel};
+    use xbar_tensor::linalg;
 
     fn rng() -> XorShiftRng {
         XorShiftRng::new(81)

@@ -7,7 +7,7 @@
 //! along the strictly positive null vector `x_h` until non-negative.
 
 use xbar_device::ConductanceRange;
-use xbar_tensor::{linalg, Tensor};
+use xbar_tensor::Tensor;
 
 use crate::{Mapping, MappingError, PeripheryMatrix};
 
@@ -50,8 +50,7 @@ pub fn compose(m: &Tensor, mapping: Mapping) -> Result<Tensor, MappingError> {
             nd - 1
         }
     };
-    let s = mapping.periphery(n_out);
-    linalg::matmul(s.matrix(), m).map_err(MappingError::from)
+    mapping.periphery(n_out).mul(m)
 }
 
 /// Decomposes a signed `W` of shape `(N_O, N_I)` into the non-negative
@@ -291,6 +290,7 @@ pub fn max_representable_scale(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xbar_tensor::linalg;
     use xbar_tensor::rng::XorShiftRng;
 
     fn range() -> ConductanceRange {

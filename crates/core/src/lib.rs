@@ -24,7 +24,8 @@
 //!   (DE), bias column (BC), and the proposed ACM;
 //! * [`PeripheryMatrix`] — construction and validation of periphery
 //!   matrices, including the paper's two sufficient conditions
-//!   (`rank(S) = N_O` and a strictly positive null vector, Sec. III-C);
+//!   (`rank(S) = N_O` and a strictly positive null vector, Sec. III-C),
+//!   applied as their ±1 stencils;
 //! * [`decompose`]/[`compose`] — constructive per-mapping decompositions
 //!   plus a generic Gaussian-elimination solver for *any* valid `S`;
 //! * [`CrossbarArray`] — the one programmed-array type: a behavioural
@@ -32,7 +33,8 @@
 //!   [`xbar_device::DeviceConfig`] (quantization, variation, faults,
 //!   parasitics) onto the [`TileGrid`] of the device's tile bound — an
 //!   untiled device is the 1×1 grid — and evaluates signed MVMs, fp32 or
-//!   through the int8 integer readout;
+//!   through the int8 integer readout, whose conductance-side operands
+//!   ([`ReadoutImage`]) are built once per programmed state;
 //! * [`TileGrid`] — the tile layout of a mapped layer, whose
 //!   [`TileGrid::tiles`] walk every per-tile stage shares (programming,
 //!   parasitics, MVMs and the scrub);
@@ -90,7 +92,7 @@ pub use error::MappingError;
 pub use healing::{RepairAttempt, RepairPolicy, RepairStage, ScrubReport, ScrubState};
 pub use mapping::{Mapping, ParseMappingError};
 pub use periphery::PeripheryMatrix;
-pub use quantized::{quantized_raw_batch, QuantReadout};
+pub use quantized::{quantized_raw_batch, QuantReadout, ReadoutImage};
 pub use remap::{remap_for_faults, RemapReport};
 pub use tiling::{ColGroup, Tile, TileGrid};
 // Re-exported from `xbar_device` (where the physical array bound lives)

@@ -1,3 +1,5 @@
+use std::sync::OnceLock;
+
 use xbar_tensor::{linalg, Tensor};
 
 use crate::MappingError;
@@ -17,6 +19,18 @@ use crate::MappingError;
 /// [`PeripheryMatrix::double_element`]); arbitrary user matrices can be
 /// validated through [`PeripheryMatrix::try_new`].
 ///
+/// Alongside the dense matrix it keeps `S`'s ±1 *stencil*: its non-zero
+/// `(row, column, ±1)` terms in row-major order, stored flat in one list
+/// and derived from the matrix on first use — so every constructor's
+/// stencil is its own matrix's, and a matrix that is only validated and
+/// read densely (a remap's group stencil) never allocates one. The
+/// combine, its adjoint and the `S·M` / `Sᵀ·G` products walk the stencil
+/// — the few additions and subtractions of digitized column outputs the
+/// hardware periphery performs — instead of a dense `N_O × N_D` GEMM.
+/// Each output is a `+0.0`-initialised sum over its terms in that order,
+/// which for the standard stencils (at most two terms per row) is bitwise
+/// the dense product.
+///
 /// # Example
 ///
 /// ```
@@ -29,10 +43,20 @@ use crate::MappingError;
 /// assert_eq!(s.matrix().at(&[0, 0]), 1.0);
 /// assert_eq!(s.matrix().at(&[0, 1]), -1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct PeripheryMatrix {
     s: Tensor,
     null_vector: Vec<f32>,
+    /// `(row, column, entry)` of every non-zero of `s`, row-major; the
+    /// entry is `±1.0`. Built on the first walk.
+    stencil: OnceLock<Vec<(usize, usize, f32)>>,
+}
+
+/// Equality is the matrix's: the stencil is a function of it.
+impl PartialEq for PeripheryMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.s == other.s && self.null_vector == other.null_vector
+    }
 }
 
 /// Tolerance used for rank and null-space computations. Periphery entries
@@ -40,6 +64,29 @@ pub struct PeripheryMatrix {
 const TOL: f32 = 1e-5;
 
 impl PeripheryMatrix {
+    fn from_parts(s: Tensor, null_vector: Vec<f32>) -> Self {
+        Self {
+            s,
+            null_vector,
+            stencil: OnceLock::new(),
+        }
+    }
+
+    /// The stencil, derived from the matrix on the first call.
+    fn stencil(&self) -> &[(usize, usize, f32)] {
+        self.stencil.get_or_init(|| {
+            let nd = self.n_dev();
+            let data = self.s.data();
+            let mut terms = Vec::with_capacity(data.iter().filter(|&&v| v != 0.0).count());
+            for (i, &v) in data.iter().enumerate() {
+                if v != 0.0 {
+                    terms.push((i / nd, i % nd, v));
+                }
+            }
+            terms
+        })
+    }
+
     /// The adjacent connection matrix of the paper (Fig. 2): row `j` is
     /// `+1` at column `j` and `−1` at column `j + 1`.
     ///
@@ -54,10 +101,7 @@ impl PeripheryMatrix {
             *s.at_mut(&[j, j]) = 1.0;
             *s.at_mut(&[j, j + 1]) = -1.0;
         }
-        Self {
-            s,
-            null_vector: vec![1.0; nd],
-        }
+        Self::from_parts(s, vec![1.0; nd])
     }
 
     /// The bias-column mapping (Fig. 1b): row `j` is `+1` at column `j` and
@@ -74,10 +118,7 @@ impl PeripheryMatrix {
             *s.at_mut(&[j, j]) = 1.0;
             *s.at_mut(&[j, nd - 1]) = -1.0;
         }
-        Self {
-            s,
-            null_vector: vec![1.0; nd],
-        }
+        Self::from_parts(s, vec![1.0; nd])
     }
 
     /// The double-element mapping (Fig. 1a): row `j` is `+1` at column `2j`
@@ -94,10 +135,7 @@ impl PeripheryMatrix {
             *s.at_mut(&[j, 2 * j]) = 1.0;
             *s.at_mut(&[j, 2 * j + 1]) = -1.0;
         }
-        Self {
-            s,
-            null_vector: vec![1.0; nd],
-        }
+        Self::from_parts(s, vec![1.0; nd])
     }
 
     /// Builds the block-diagonal composition of `blocks` — the periphery
@@ -134,7 +172,7 @@ impl PeripheryMatrix {
             r0 += b.n_out();
             c0 += b.n_dev();
         }
-        Self { s, null_vector }
+        Self::from_parts(s, null_vector)
     }
 
     /// Folds a device-column permutation into this stencil: returns
@@ -168,7 +206,7 @@ impl PeripheryMatrix {
             }
             null_vector.push(self.null_vector[logical]);
         }
-        Self { s, null_vector }
+        Self::from_parts(s, null_vector)
     }
 
     /// Validates an arbitrary candidate periphery matrix against the
@@ -215,7 +253,7 @@ impl PeripheryMatrix {
                          non-negative decomposition not guaranteed"
                     .into(),
             })?;
-        Ok(Self { s, null_vector })
+        Ok(Self::from_parts(s, null_vector))
     }
 
     /// The underlying `N_O × N_D` matrix.
@@ -240,13 +278,27 @@ impl PeripheryMatrix {
     }
 
     /// Applies the periphery combine to a batch of raw column outputs:
-    /// `Y_dev (batch × N_D)  →  Y (batch × N_O)`, i.e. `Y = Y_dev · Sᵀ`.
+    /// `Y_dev (batch × N_D)  →  Y (batch × N_O)`, i.e. `Y = Y_dev · Sᵀ`,
+    /// walking the stencil.
     ///
     /// # Errors
     ///
     /// Returns a shape error if `y_dev` is not `(batch, N_D)`.
     pub fn combine(&self, y_dev: &Tensor) -> Result<Tensor, MappingError> {
-        linalg::matmul_nt(y_dev, &self.s).map_err(MappingError::from)
+        let batch = self.expect_rows("combine", y_dev, self.n_dev(), 1)?;
+        let (nd, no) = (self.n_dev(), self.n_out());
+        let stencil = self.stencil();
+        let mut out = Tensor::zeros(&[batch, no]);
+        for (y, row) in out
+            .data_mut()
+            .chunks_exact_mut(no)
+            .zip(y_dev.data().chunks_exact(nd))
+        {
+            for &(o, d, e) in stencil {
+                y[o] += e * row[d];
+            }
+        }
+        Ok(out)
     }
 
     /// Adjoint of [`PeripheryMatrix::combine`], used for gradient routing:
@@ -256,13 +308,83 @@ impl PeripheryMatrix {
     ///
     /// Returns a shape error if `grad` is not `(batch, N_O)`.
     pub fn spread(&self, grad: &Tensor) -> Result<Tensor, MappingError> {
-        linalg::matmul(grad, &self.s).map_err(MappingError::from)
+        let batch = self.expect_rows("spread", grad, self.n_out(), 1)?;
+        let (nd, no) = (self.n_dev(), self.n_out());
+        let stencil = self.stencil();
+        let mut out = Tensor::zeros(&[batch, nd]);
+        for (g_dev, g) in out
+            .data_mut()
+            .chunks_exact_mut(nd)
+            .zip(grad.data().chunks_exact(no))
+        {
+            for &(o, d, e) in stencil {
+                g_dev[d] += e * g[o];
+            }
+        }
+        Ok(out)
+    }
+
+    /// The signed matrix `S · M` of a conductance matrix `M (N_D × n)`
+    /// — row `o` is the stencil's signed sum of rows of `M`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape error if `m` is not `(N_D, n)`.
+    pub fn mul(&self, m: &Tensor) -> Result<Tensor, MappingError> {
+        let n = self.expect_rows("mul", m, self.n_dev(), 0)?;
+        let mut out = Tensor::zeros(&[self.n_out(), n]);
+        let (od, md) = (out.data_mut(), m.data());
+        for &(o, d, e) in self.stencil() {
+            for (w, &g) in od[o * n..][..n].iter_mut().zip(&md[d * n..][..n]) {
+                *w += e * g;
+            }
+        }
+        Ok(out)
+    }
+
+    /// The transposed product `Sᵀ · G` of a logical-output matrix
+    /// `G (N_O × n)` — the gradient route from `W` back to `M`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape error if `g` is not `(N_O, n)`.
+    pub fn t_mul(&self, g: &Tensor) -> Result<Tensor, MappingError> {
+        let n = self.expect_rows("t_mul", g, self.n_out(), 0)?;
+        let mut out = Tensor::zeros(&[self.n_dev(), n]);
+        let (od, gd) = (out.data_mut(), g.data());
+        for &(o, d, e) in self.stencil() {
+            for (m, &v) in od[d * n..][..n].iter_mut().zip(&gd[o * n..][..n]) {
+                *m += e * v;
+            }
+        }
+        Ok(out)
+    }
+
+    /// Checks that `t` is 2-D with `len` along `axis` and returns the
+    /// other dimension.
+    fn expect_rows(
+        &self,
+        op: &'static str,
+        t: &Tensor,
+        len: usize,
+        axis: usize,
+    ) -> Result<usize, MappingError> {
+        if t.ndim() != 2 || t.shape()[axis] != len {
+            return Err(MappingError::Shape(xbar_tensor::ShapeError::new(
+                op,
+                format!(
+                    "expected a 2-D operand with {len} along axis {axis}, got {:?}",
+                    t.shape()
+                ),
+            )));
+        }
+        Ok(t.shape()[1 - axis])
     }
 
     /// Number of non-zero entries — the count of periphery add/sub
     /// operations per MVM.
     pub fn num_ops(&self) -> usize {
-        self.s.data().iter().filter(|&&v| v != 0.0).count()
+        self.stencil().len()
     }
 }
 
@@ -573,6 +695,116 @@ mod tests {
     #[should_panic(expected = "not a permutation")]
     fn permuted_rejects_duplicates() {
         let _ = PeripheryMatrix::bias_column(2).permuted(&[0, 0, 1]);
+    }
+
+    /// `n` normal draws with every third entry replaced by `+0.0` or
+    /// `−0.0`, alternating.
+    fn with_signed_zeros(shape: &[usize], rng: &mut xbar_tensor::rng::XorShiftRng) -> Tensor {
+        let mut t = Tensor::rand_normal(shape, 0.0, 1.0, rng);
+        for (i, v) in t.data_mut().iter_mut().enumerate() {
+            if i % 3 == 0 {
+                *v = if i % 2 == 0 { 0.0 } else { -0.0 };
+            }
+        }
+        t
+    }
+
+    /// The four stencil walks against `linalg` on the dense matrix, on
+    /// inputs holding signed zeros: bitwise when `exact`, else to `rel`
+    /// relative.
+    fn check_stencil_against_dense(s: &PeripheryMatrix, exact: bool) {
+        let mut rng = xbar_tensor::rng::XorShiftRng::new(64 + s.n_dev() as u64);
+        let (no, nd) = (s.n_out(), s.n_dev());
+        let same = |got: &Tensor, want: &Tensor, op: &str| {
+            assert_eq!(got.shape(), want.shape(), "{op}");
+            for (&g, &w) in got.data().iter().zip(want.data()) {
+                if exact {
+                    assert_eq!(g.to_bits(), w.to_bits(), "{op}: {g} vs {w}");
+                } else {
+                    assert!((g - w).abs() <= 1e-6 * w.abs().max(1.0), "{op}: {g} vs {w}");
+                }
+            }
+        };
+        let y_dev = with_signed_zeros(&[5, nd], &mut rng);
+        let want = linalg::matmul_nt(&y_dev, s.matrix()).unwrap();
+        same(&s.combine(&y_dev).unwrap(), &want, "combine");
+        let g = with_signed_zeros(&[5, no], &mut rng);
+        let want = linalg::matmul(&g, s.matrix()).unwrap();
+        same(&s.spread(&g).unwrap(), &want, "spread");
+        let m = with_signed_zeros(&[nd, 7], &mut rng);
+        let want = linalg::matmul(s.matrix(), &m).unwrap();
+        same(&s.mul(&m).unwrap(), &want, "S·M");
+        let g = with_signed_zeros(&[no, 7], &mut rng);
+        let want = linalg::matmul_tn(s.matrix(), &g).unwrap();
+        same(&s.t_mul(&g).unwrap(), &want, "Sᵀ·G");
+        // An all-signed-zero input keeps the dense product's zero signs.
+        let zeros = Tensor::from_fn(&[2, nd], |i| if i % 2 == 0 { -0.0 } else { 0.0 });
+        let want = linalg::matmul_nt(&zeros, s.matrix()).unwrap();
+        same(&s.combine(&zeros).unwrap(), &want, "combine of zeros");
+    }
+
+    #[test]
+    fn stencil_walks_equal_the_dense_products_bitwise() {
+        let mut all = Vec::new();
+        for no in [1usize, 2, 5, 17] {
+            all.extend([
+                PeripheryMatrix::acm(no),
+                PeripheryMatrix::bias_column(no),
+                PeripheryMatrix::double_element(no),
+            ]);
+        }
+        let blocks = [
+            PeripheryMatrix::acm(3),
+            PeripheryMatrix::bias_column(4),
+            PeripheryMatrix::double_element(2),
+        ];
+        all.push(PeripheryMatrix::block_diagonal(&blocks));
+        all.push(PeripheryMatrix::bias_column(4).permuted(&[3, 0, 4, 1, 2]));
+        all.push(PeripheryMatrix::acm(4).permuted(&[4, 2, 0, 1, 3]));
+        let reversed = Tensor::from_vec(
+            vec![
+                -1.0, 1.0, 0.0, 0.0, 0.0, -1.0, 1.0, 0.0, 0.0, 0.0, -1.0, 1.0,
+            ],
+            &[3, 4],
+        )
+        .unwrap();
+        all.push(PeripheryMatrix::try_new(reversed).unwrap());
+        for s in &all {
+            // Every constructor derives the stencil of its own matrix.
+            assert_eq!(
+                s.num_ops(),
+                s.matrix().data().iter().filter(|&&v| v != 0.0).count()
+            );
+            check_stencil_against_dense(s, true);
+        }
+    }
+
+    #[test]
+    fn wide_stencil_rows_match_the_dense_products() {
+        // Rows of four terms: the stencil sums them in a different order
+        // than the dense kernels may, so equality is to roundoff.
+        let s = Tensor::from_vec(
+            vec![
+                1.0, 1.0, -1.0, -1.0, 0.0, //
+                1.0, -1.0, 0.0, 1.0, -1.0, //
+                0.0, 1.0, 1.0, -1.0, -1.0,
+            ],
+            &[3, 5],
+        )
+        .unwrap();
+        let p = PeripheryMatrix::try_new(s).unwrap();
+        assert_eq!(p.num_ops(), 12);
+        check_stencil_against_dense(&p, false);
+    }
+
+    #[test]
+    fn stencil_walks_reject_mismatched_shapes() {
+        let s = PeripheryMatrix::acm(3);
+        assert!(s.combine(&Tensor::zeros(&[2, 3])).is_err());
+        assert!(s.spread(&Tensor::zeros(&[2, 4])).is_err());
+        assert!(s.mul(&Tensor::zeros(&[3, 2])).is_err());
+        assert!(s.t_mul(&Tensor::zeros(&[4, 2])).is_err());
+        assert!(s.combine(&Tensor::zeros(&[4])).is_err());
     }
 
     #[test]

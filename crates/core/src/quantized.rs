@@ -26,6 +26,10 @@
 //!    `y_dev = s_x · (c₀ · S + step · A)` (with `S = Σ (c − zp)` the
 //!    input code sum), done serially on the calling thread.
 //!
+//! Steps 2 and 3's conductance side — each tile's centered i8 block and
+//! its column sums `Σ gsym` — depends only on the programmed state, so
+//! [`ReadoutImage`] builds it once and every later batch only reads it.
+//!
 //! Because every parallel step is integer-exact and the commit order is
 //! pinned by [`backend::ordered_stream`], the quantized forward is
 //! **bitwise identical for any thread count** — stronger than the fp32
@@ -103,12 +107,194 @@ fn readout_quantizer(device: &DeviceConfig, op: &'static str) -> Result<Quantize
     Ok(q)
 }
 
+/// One tile's weight-side operands for the integer readout.
+#[derive(Debug, Clone)]
+struct TileOperand {
+    row_start: usize,
+    row_len: usize,
+    dev_start: usize,
+    dev_len: usize,
+    /// Centered state codes `gsym`, `dev_len × row_len` row-major — the
+    /// `b` operand of [`qgemm::qgemm_nt`].
+    codes: Vec<i8>,
+    /// Per device column, `Σ gsym` over the tile's rows: the term the
+    /// activation zero point multiplies.
+    colsums: Vec<i32>,
+}
+
+/// The integer readout's weight-side operands of one programmed state:
+/// per tile, the packed centered-i8 block of the conductances and its
+/// column sums, plus the grid constants that turn integer sums back into
+/// conductance units. Everything here depends on the conductances only,
+/// never on the activations, so it is built once per programmed state
+/// ([`ReadoutImage::new`]) and read for every batch after that
+/// ([`ReadoutImage::read`]).
+#[derive(Debug, Clone)]
+pub struct ReadoutImage {
+    nd: usize,
+    k: usize,
+    /// Tiles in grid order — the fixed commit order of the readout.
+    tiles: Vec<TileOperand>,
+    /// `2^(B−1)`: the centering offset and the worst-case `|gsym|`.
+    half: i32,
+    step: f32,
+    /// Conductance of the centered code 0: `g = c0 + step · gsym`.
+    c0: f32,
+}
+
+impl ReadoutImage {
+    /// Reads `conductances (N_D × N_I)` laid out on `grid` as state
+    /// indices on `q`'s grid, centered into i8, and packs each tile's
+    /// block with its column sums. Conductances that sit off-grid snap
+    /// to the nearest state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q.bits() > 8`, the conductance shape disagrees with the
+    /// grid, or `N_I` exceeds [`QGEMM_MAX_K`].
+    pub fn new(conductances: &Tensor, grid: &TileGrid, q: &Quantizer) -> Self {
+        let (nd, k) = (conductances.shape()[0], conductances.shape()[1]);
+        assert_eq!(grid.nd_total(), nd, "conductance/grid height mismatch");
+        assert_eq!(grid.n_in(), k, "conductance/grid width mismatch");
+        assert!(k <= QGEMM_MAX_K, "input width {k} exceeds exact-i32 bound");
+        assert!(q.bits() <= 8, "device bits must be ≤ 8 for the i8 image");
+        let half = 1i32 << (q.bits() - 1);
+        let g = conductances.data();
+        let tiles = grid
+            .tiles()
+            .map(|tile| {
+                let (r0, rl) = (tile.row_start, tile.row_len);
+                let (d0, dl) = (tile.group.dev_start, tile.group.dev_len);
+                let mut codes = Vec::with_capacity(dl * rl);
+                for j in 0..dl {
+                    codes.extend(
+                        g[(d0 + j) * k + r0..][..rl]
+                            .iter()
+                            .map(|&v| (q.state_index(v) as i32 - half) as i8),
+                    );
+                }
+                let colsums = codes
+                    .chunks_exact(rl)
+                    .map(|col| col.iter().map(|&c| i32::from(c)).sum())
+                    .collect();
+                TileOperand {
+                    row_start: r0,
+                    row_len: rl,
+                    dev_start: d0,
+                    dev_len: dl,
+                    codes,
+                    colsums,
+                }
+            })
+            .collect();
+        let step = q.step();
+        Self {
+            nd,
+            k,
+            tiles,
+            half,
+            step,
+            c0: q.state_value(0) + half as f32 * step,
+        }
+    }
+
+    /// Raw dequantized column outputs `(batch × N_D)` for the activations
+    /// `x (batch × N_I)` — what the ADCs delivered, before the periphery
+    /// combine. Each tile gets its own int8 GEMM and its own ADC ranging
+    /// (the monolithic grid is one full-array tile), and digitized
+    /// partial sums accumulate as integers across row blocks in fixed
+    /// tile order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mode.act_bits` is outside `1..=7` or `x` is not
+    /// `(batch, N_I)`.
+    pub fn read(&self, mode: &QuantReadout, x: &Tensor) -> Tensor {
+        let (batch, k, nd) = (x.shape()[0], self.k, self.nd);
+        assert_eq!(x.shape()[1], k, "conductance/input width mismatch");
+
+        // Activation codes (unsigned affine, ≤ 127 by construction).
+        let qx = QuantizedTensor::quantize_affine_with_range(x, mode.act_bits, mode.act_range);
+        let QScheme::Affine {
+            scale: sx,
+            zero_point: zp,
+            ..
+        } = *qx.scheme()
+        else {
+            unreachable!("quantize_affine always returns an affine scheme")
+        };
+        let codes = qx.data();
+        let max_code = ((1u32 << mode.act_bits) - 1) as i64;
+
+        // Per-batch centered input code sums S[b] = Σ_i (c_i − zp): the
+        // term the grid offset c0 multiplies. Row blocks partition the
+        // inputs, so the total equals the sum of every tile's local S.
+        let s_tot: Vec<i32> = (0..batch)
+            .map(|b| codes[b * k..][..k].iter().map(|&c| c as i32 - zp).sum())
+            .collect();
+
+        // Digitized partial column sums, accumulated in i32: per-tile
+        // integer GEMMs fan across the pool, the ordered stream commits
+        // them in submission order, and every step is exact — bitwise
+        // identical at any thread count.
+        let mut a_tot = scratch::take_filled_i32(batch * nd, 0);
+        let (adc, half) = (mode.adc, self.half);
+        backend::ordered_stream(
+            self.tiles.iter().collect(),
+            |_, tile: &TileOperand| {
+                let (r0, rl, dl) = (tile.row_start, tile.row_len, tile.dev_len);
+                let mut a_blk = scratch::take_filled_i8(batch * rl, 0);
+                for b in 0..batch {
+                    a_blk[b * rl..][..rl].copy_from_slice(&codes[b * k + r0..][..rl]);
+                }
+                let mut acc = scratch::take_filled_i32(batch * dl, 0);
+                // SAFETY: affine codes are non-negative (≤ 127), so the i8
+                // buffer reinterprets to u8 value-preservingly.
+                let a_u8 =
+                    unsafe { std::slice::from_raw_parts(a_blk.as_ptr().cast::<u8>(), a_blk.len()) };
+                qgemm::qgemm_nt(a_u8, &tile.codes, &mut acc, batch, rl, dl);
+                // Zero-point correction term, then the tile's ADC: ranged
+                // from the worst-case tile-local centered sum
+                // rl · max|c − zp| · max|gsym|.
+                let shift = adc.shift_for(rl as i64 * max_code * half as i64);
+                for row in acc.chunks_exact_mut(dl) {
+                    for (a, &cs) in row.iter_mut().zip(&tile.colsums) {
+                        *a = adc.convert(*a - zp * cs, shift);
+                    }
+                }
+                scratch::give_i8(a_blk);
+                (tile.dev_start, dl, acc)
+            },
+            |_, (d0, dl, acc)| {
+                for b in 0..batch {
+                    let dst = &mut a_tot[b * nd + d0..][..dl];
+                    for (d, &p) in dst.iter_mut().zip(&acc[b * dl..][..dl]) {
+                        *d += p;
+                    }
+                }
+                scratch::give_i32(acc);
+            },
+        );
+
+        // Serial f32 reconstruction: y_dev = s_x · (c0 · S + step · A).
+        let (step, c0) = (self.step, self.c0);
+        let mut raw = Tensor::zeros(&[batch, nd]);
+        let rd = raw.data_mut();
+        for b in 0..batch {
+            let base = sx * c0 * s_tot[b] as f32;
+            for j in 0..nd {
+                rd[b * nd + j] = base + sx * step * a_tot[b * nd + j] as f32;
+            }
+        }
+        scratch::give_i32(a_tot);
+        raw
+    }
+}
+
 /// Raw dequantized column outputs `(batch × N_D)` of the integer readout
-/// of `effective (N_D × N_I)` laid out on `grid` — what the ADCs
-/// delivered, before the periphery combine. Each grid tile gets its own
-/// int8 GEMM and its own ADC ranging (the monolithic grid is one
-/// full-array tile), and digitized partial sums accumulate as integers
-/// across row blocks in fixed tile order.
+/// of `effective (N_D × N_I)` laid out on `grid` — the uncached form of
+/// `ReadoutImage::new(effective, grid, q).read(mode, x)`, building the
+/// operands and reading them once.
 ///
 /// The caller guarantees `q.bits() ≤ 8` (see the module docs); shapes
 /// must agree (`x` is `(batch, N_I)`).
@@ -124,108 +310,7 @@ pub fn quantized_raw_batch(
     mode: &QuantReadout,
     x: &Tensor,
 ) -> Tensor {
-    let (batch, k) = (x.shape()[0], x.shape()[1]);
-    let nd = effective.shape()[0];
-    assert_eq!(effective.shape()[1], k, "conductance/input width mismatch");
-    debug_assert_eq!(grid.nd_total(), nd);
-    assert!(k <= QGEMM_MAX_K, "input width {k} exceeds exact-i32 bound");
-    assert!(q.bits() <= 8, "device bits must be ≤ 8 for the i8 image");
-
-    // Activation codes (unsigned affine, ≤ 127 by construction).
-    let qx = QuantizedTensor::quantize_affine_with_range(x, mode.act_bits, mode.act_range);
-    let QScheme::Affine {
-        scale: sx,
-        zero_point: zp,
-        ..
-    } = *qx.scheme()
-    else {
-        unreachable!("quantize_affine always returns an affine scheme")
-    };
-    let codes = qx.data();
-    let max_code = ((1u32 << mode.act_bits) - 1) as i64;
-
-    // Centered i8 image of the conductance grid: g = c0 + step · gsym.
-    let half = 1i32 << (q.bits() - 1);
-    let mut gsym = scratch::take_filled_i8(nd * k, 0);
-    for (c, &g) in gsym.iter_mut().zip(effective.data()) {
-        *c = (q.state_index(g) as i32 - half) as i8;
-    }
-
-    // Per-batch centered input code sums S[b] = Σ_i (c_i − zp): the term
-    // the grid offset c0 multiplies. Row blocks partition the inputs, so
-    // the total equals the sum of every tile's local S.
-    let s_tot: Vec<i32> = (0..batch)
-        .map(|b| codes[b * k..][..k].iter().map(|&c| c as i32 - zp).sum())
-        .collect();
-
-    // Digitized partial column sums, accumulated in i32: per-tile integer
-    // GEMMs fan across the pool, the ordered stream commits them in
-    // submission order, and every step is exact — bitwise identical at
-    // any thread count.
-    let mut a_tot = scratch::take_filled_i32(batch * nd, 0);
-    let adc = mode.adc;
-    let gsym_ref: &[i8] = &gsym;
-    backend::ordered_stream(
-        grid.tiles().collect(),
-        |_, tile| {
-            let (r0, rl) = (tile.row_start, tile.row_len);
-            let (d0, dl) = (tile.group.dev_start, tile.group.dev_len);
-            let mut a_blk = scratch::take_filled_i8(batch * rl, 0);
-            for b in 0..batch {
-                a_blk[b * rl..][..rl].copy_from_slice(&codes[b * k + r0..][..rl]);
-            }
-            let mut b_blk = scratch::take_filled_i8(dl * rl, 0);
-            for j in 0..dl {
-                b_blk[j * rl..][..rl].copy_from_slice(&gsym_ref[(d0 + j) * k + r0..][..rl]);
-            }
-            let mut acc = scratch::take_filled_i32(batch * dl, 0);
-            // SAFETY: affine codes are non-negative (≤ 127), so the i8
-            // buffer reinterprets to u8 value-preservingly.
-            let a_u8 =
-                unsafe { std::slice::from_raw_parts(a_blk.as_ptr().cast::<u8>(), a_blk.len()) };
-            qgemm::qgemm_nt(a_u8, &b_blk, &mut acc, batch, rl, dl);
-            // Zero-point correction term, then the tile's ADC: ranged
-            // from the worst-case tile-local centered sum
-            // rl · max|c − zp| · max|gsym|.
-            let colsum: Vec<i32> = (0..dl)
-                .map(|j| b_blk[j * rl..][..rl].iter().map(|&c| c as i32).sum())
-                .collect();
-            let shift = adc.shift_for(rl as i64 * max_code * half as i64);
-            for b in 0..batch {
-                for j in 0..dl {
-                    let a = acc[b * dl + j] - zp * colsum[j];
-                    acc[b * dl + j] = adc.convert(a, shift);
-                }
-            }
-            scratch::give_i8(a_blk);
-            scratch::give_i8(b_blk);
-            (d0, dl, acc)
-        },
-        |_, (d0, dl, acc)| {
-            for b in 0..batch {
-                let dst = &mut a_tot[b * nd + d0..][..dl];
-                for (d, &p) in dst.iter_mut().zip(&acc[b * dl..][..dl]) {
-                    *d += p;
-                }
-            }
-            scratch::give_i32(acc);
-        },
-    );
-    scratch::give_i8(gsym);
-
-    // Serial f32 reconstruction: y_dev = s_x · (c0 · S + step · A).
-    let step = q.step();
-    let c0 = q.state_value(0) + half as f32 * step;
-    let mut raw = Tensor::zeros(&[batch, nd]);
-    let rd = raw.data_mut();
-    for b in 0..batch {
-        let base = sx * c0 * s_tot[b] as f32;
-        for j in 0..nd {
-            rd[b * nd + j] = base + sx * step * a_tot[b * nd + j] as f32;
-        }
-    }
-    scratch::give_i32(a_tot);
-    raw
+    ReadoutImage::new(effective, grid, q).read(mode, x)
 }
 
 impl CrossbarArray {
@@ -236,6 +321,10 @@ impl CrossbarArray {
     /// row depth), digitized partial sums accumulated as integers across
     /// row blocks, and the per-group periphery combining the result.
     /// Bitwise identical for any thread count.
+    ///
+    /// The weight-side operands ([`ReadoutImage`]) are built by the first
+    /// call and reused by every later one until
+    /// [`CrossbarArray::resample_variation`] re-programs the array.
     ///
     /// # Errors
     ///
@@ -249,8 +338,10 @@ impl CrossbarArray {
     ) -> Result<Tensor, MappingError> {
         let q = readout_quantizer(self.device(), "forward_quantized")?;
         self.grid().check_batch(x, "forward_quantized")?;
-        let raw = quantized_raw_batch(self.effective_conductances(), self.grid(), &q, mode, x);
-        self.periphery().combine(&raw)
+        let image = self
+            .readout
+            .get_or_init(|| ReadoutImage::new(self.effective_conductances(), self.grid(), &q));
+        self.periphery().combine(&image.read(mode, x))
     }
 }
 
@@ -332,6 +423,43 @@ mod tests {
         let serial = xbar.forward_quantized(&x, &mode).unwrap();
         backend::force_serial(false);
         assert_eq!(serial.data(), parallel.data());
+    }
+
+    #[test]
+    fn cached_readout_follows_resampled_variation() {
+        let mut rng = XorShiftRng::new(12);
+        let w = rand_tensor(&mut rng, &[20, 40], -0.04, 0.04);
+        let device = ideal_device(6)
+            .with_variation_sigma(0.05)
+            .with_tile_shape(Some(TileShape::new(16, 16)));
+        let x = rand_tensor(&mut rng, &[4, 40], -1.0, 1.0);
+        let mode = QuantReadout::with_adc_bits(10);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for mapping in Mapping::ALL {
+            let mut xbar = CrossbarArray::program_signed(&w, mapping, device, &mut rng).unwrap();
+            let q = xbar.device().quantizer();
+            // The uncached reference: operands rebuilt from the effective
+            // conductances, combined through the dense periphery.
+            let uncached = |xbar: &CrossbarArray| {
+                let raw =
+                    quantized_raw_batch(xbar.effective_conductances(), xbar.grid(), &q, &mode, &x);
+                xbar_tensor::linalg::matmul_nt(&raw, xbar.periphery().matrix()).unwrap()
+            };
+            let first = xbar.forward_quantized(&x, &mode).unwrap();
+            assert_eq!(bits(&first), bits(&uncached(&xbar)), "{mapping}");
+            xbar.resample_variation(&mut rng);
+            let second = xbar.forward_quantized(&x, &mode).unwrap();
+            assert_ne!(
+                bits(&first),
+                bits(&second),
+                "{mapping}: variation did not move"
+            );
+            assert_eq!(
+                bits(&second),
+                bits(&uncached(&xbar)),
+                "{mapping}: stale cache"
+            );
+        }
     }
 
     #[test]

@@ -33,6 +33,15 @@ pub trait StateVisitor {
     /// Visits a named deterministic RNG stream (dropout masks, stochastic
     /// pulse rounding).
     fn rng(&mut self, name: &str, value: &mut XorShiftRng);
+
+    /// Whether this pass may overwrite the visited components. Layers
+    /// rebuild state derived from them (a permuted periphery, a served
+    /// override, cached readout operands) only after a writing pass; a
+    /// read-only visitor (snapshotting, validation) returns `false` so
+    /// visiting leaves the layer bitwise untouched.
+    fn writes(&self) -> bool {
+        true
+    }
 }
 
 /// A trainable network layer.

@@ -1,13 +1,15 @@
 //! The crossbar-mapped weight parameter — the training-side embodiment of
 //! the paper's `W = S · M` factorization.
 
+use std::sync::OnceLock;
+
 use xbar_core::{
-    magnitude_permutation, permute_rows, quantized_raw_batch, Mapping, PeripheryMatrix,
-    QuantReadout, RepairPolicy, ScrubReport, ScrubState, TileGrid,
+    magnitude_permutation, permute_rows, Mapping, PeripheryMatrix, QuantReadout, ReadoutImage,
+    RepairPolicy, ScrubReport, ScrubState, TileGrid,
 };
 use xbar_device::DeviceConfig;
 use xbar_tensor::rng::XorShiftRng;
-use xbar_tensor::{linalg, qmatmul_nt, QuantizedTensor, Tensor};
+use xbar_tensor::{qmatmul_nt, QuantizedTensor, Tensor};
 
 use crate::NnError;
 
@@ -96,6 +98,10 @@ pub struct MappedParam {
     /// Online self-healing state over the quantized conductances `q(M)`;
     /// `Some` iff mapped with an active lifetime fault model.
     scrub: Option<ScrubState>,
+    /// The integer readout's operands of the served conductances, built
+    /// by the first [`MappedParam::forward_quantized`] and reset by every
+    /// method that changes what is served. Never persisted.
+    readout: OnceLock<ReadoutImage>,
 }
 
 impl MappedParam {
@@ -154,6 +160,7 @@ impl MappedParam {
                     alpha: 1.0,
                     update_rng,
                     scrub: None,
+                    readout: OnceLock::new(),
                 })
             }
             WeightKind::Mapped(mapping) => {
@@ -243,6 +250,7 @@ impl MappedParam {
                     alpha,
                     update_rng,
                     scrub,
+                    readout: OnceLock::new(),
                 })
             }
         }
@@ -408,12 +416,11 @@ impl MappedParam {
                 None => self.shadow.clone(),
             },
             (WeightKind::Mapped(_), Some(s)) => {
-                let g = match &self.variation_override {
-                    Some(noisy) => noisy.clone(),
-                    None => self.quantized_shadow(),
+                let w = match &self.variation_override {
+                    Some(noisy) => s.mul(noisy),
+                    None => s.mul(&self.quantized_shadow()),
                 };
-                linalg::matmul(s.matrix(), &g)
-                    .expect("periphery/conductance dims fixed at construction")
+                w.expect("periphery/conductance dims fixed at construction")
                     .scale(self.alpha)
             }
             _ => unreachable!("mapped parameters always carry a periphery"),
@@ -423,14 +430,17 @@ impl MappedParam {
     /// Int8 inference forward `X (batch × n_in) → Y (batch × n_out)`.
     ///
     /// * **Mapped** weights run the crossbar's ADC-exact integer readout
-    ///   ([`quantized_raw_batch`]): activations quantize to
+    ///   ([`ReadoutImage`]): activations quantize to
     ///   `mode.act_bits`, conductances (the quantized shadow, or the
     ///   variation override while one is active) are read on the device
     ///   state grid, each tile's column sums digitize through `mode.adc`,
     ///   and the digital periphery combine + `α` scaling mirror the fp32
     ///   composition exactly. Off-grid conductances (BC/Perm reference
     ///   rows, variation, drift) snap to the nearest state — the read
-    ///   discretization a digital readout cannot avoid.
+    ///   discretization a digital readout cannot avoid. The conductance
+    ///   side is built once per served state and reused by every later
+    ///   call until a mutator (update, variation, faults, parasitics,
+    ///   override, scrub tick, state restore) changes it.
     /// * **Signed** (baseline) weights run the digital int8 GEMM
     ///   ([`qmatmul_nt`]): per-row symmetric 8-bit weights against affine
     ///   activations.
@@ -472,17 +482,12 @@ impl MappedParam {
                         q.bits()
                     )));
                 }
-                let g = match &self.variation_override {
-                    Some(noisy) => noisy.clone(),
-                    None => self.quantized_shadow(),
-                };
-                let raw = quantized_raw_batch(
-                    &g,
-                    self.grid.as_ref().expect("mapped parameters carry a grid"),
-                    &q,
-                    mode,
-                    x,
-                );
+                let grid = self.grid.as_ref().expect("mapped parameters carry a grid");
+                let image = self.readout.get_or_init(|| match &self.variation_override {
+                    Some(noisy) => ReadoutImage::new(noisy, grid, &q),
+                    None => ReadoutImage::new(&self.quantized_shadow(), grid, &q),
+                });
+                let raw = image.read(mode, x);
                 let s = self
                     .periphery
                     .as_ref()
@@ -550,7 +555,7 @@ impl MappedParam {
                         pre
                     }
                 };
-                let mut routed = linalg::matmul_tn(s.matrix(), &pre)?.scale(self.alpha);
+                let mut routed = s.t_mul(&pre)?.scale(self.alpha);
                 // Every BC reference column is *fixed* at mid-range (paper
                 // Sec. II: "the conductance of each element in this column
                 // is fixed to the middle of the conductance range") — it
@@ -583,6 +588,7 @@ impl MappedParam {
     /// nonlinear [`xbar_device::UpdateModel`] — routed element-wise through the pulse
     /// transfer curve.
     pub fn apply_update(&mut self, lr: f32) {
+        self.readout.take();
         match self.kind {
             WeightKind::Signed => {
                 let g = self.grad.clone();
@@ -662,6 +668,7 @@ impl MappedParam {
         }
         // A fresh variation draw starts from the pristine array.
         self.fault_map = None;
+        self.readout.take();
     }
 
     /// Deals this parameter's crossbar a stuck-at defect pattern drawn
@@ -746,6 +753,7 @@ impl MappedParam {
                 .program_tensor(&targets, &var, range, Some(&map), rng);
         self.variation_override = Some(programmed);
         self.fault_map = Some(map);
+        self.readout.take();
         Ok((prog_report, remap_report))
     }
 
@@ -791,6 +799,7 @@ impl MappedParam {
         };
         grid.apply_parasitics(&mut conductances, &device, faults);
         self.variation_override = Some(conductances);
+        self.readout.take();
         Ok(())
     }
 
@@ -813,6 +822,7 @@ impl MappedParam {
         );
         self.variation_override = Some(conductances);
         self.fault_map = None;
+        self.readout.take();
     }
 
     /// Removes any variation override (returns to ideal quantized
@@ -820,6 +830,7 @@ impl MappedParam {
     pub fn clear_variation(&mut self) {
         self.variation_override = None;
         self.fault_map = None;
+        self.readout.take();
     }
 
     /// Whether a variation override is active.
@@ -873,6 +884,7 @@ impl MappedParam {
             .map_err(NnError::Mapping)?;
         self.variation_override = Some(served);
         self.fault_map = Some(faults);
+        self.readout.take();
         Ok(Some(report))
     }
 
@@ -936,10 +948,17 @@ impl MappedParam {
     }
 
     /// Visits this parameter's persistent state: the trained master tensor
-    /// (`M` or `W`) and the stochastic pulse-rounding stream. The gradient
-    /// and any variation override are transient and excluded (see
-    /// [`crate::Layer::visit_state`]).
+    /// (`M` or `W`) and the stochastic pulse-rounding stream. The gradient,
+    /// any variation override and the integer readout's operands are
+    /// transient and excluded (see [`crate::Layer::visit_state`]).
+    ///
+    /// State derived from the visited tensors — the Perm periphery, the
+    /// scrub served override and the readout operands — is rebuilt only
+    /// when the visitor [`writes`](crate::StateVisitor::writes): a
+    /// collecting or validating pass leaves the parameter bitwise as it
+    /// was.
     pub fn visit_state(&mut self, prefix: &str, visitor: &mut dyn crate::StateVisitor) {
+        let writes = visitor.writes();
         visitor.tensor(&format!("{prefix}shadow"), &mut self.shadow);
         visitor.rng(&format!("{prefix}update_rng"), &mut self.update_rng);
         // The Perm row order is part of the trained state: the shadow rows
@@ -949,7 +968,9 @@ impl MappedParam {
         if let Some(perm) = &mut self.perm {
             let grid = self.grid.as_ref().expect("Perm parameters carry a grid");
             visitor.checked_tensor(&format!("{prefix}perm"), perm, &|p| check_perm(grid, p));
-            self.periphery = Some(periphery_for_perm(grid, perm));
+            if writes {
+                self.periphery = Some(periphery_for_perm(grid, perm));
+            }
         }
         // Self-healing state travels with the parameter; the served
         // override it implies is rebuilt (not persisted) — see
@@ -959,7 +980,12 @@ impl MappedParam {
             for (name, tensor, check) in scrub.tensors_mut() {
                 visitor.checked_tensor(&format!("{prefix}scrub_{name}"), tensor, &check);
             }
-            self.rebuild_scrub_override();
+            if writes {
+                self.rebuild_scrub_override();
+            }
+        }
+        if writes {
+            self.readout.take();
         }
     }
 }
@@ -1880,5 +1906,170 @@ mod tests {
             "detection + repair must serve weights closer to fault-free: \
              on {err_on} vs off {err_off}"
         );
+    }
+
+    /// The uncached integer readout of whatever `p` serves: the operands
+    /// rebuilt from scratch and combined through the dense periphery.
+    fn uncached_readout(p: &MappedParam, x: &Tensor, mode: &QuantReadout) -> Tensor {
+        let served = match &p.variation_override {
+            Some(c) => c.clone(),
+            None => p.quantized_shadow(),
+        };
+        let q = p.device.quantizer();
+        let raw = xbar_core::quantized_raw_batch(&served, p.tile_grid().unwrap(), &q, mode, x);
+        let s = p.periphery.as_ref().unwrap();
+        xbar_tensor::linalg::matmul_nt(&raw, s.matrix())
+            .unwrap()
+            .scale(p.alpha)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Runs `mutate` on `p` after warming its readout cache, then checks
+    /// that the served output moved and that the cached readout equals
+    /// the uncached reference bitwise.
+    fn check_coherent_after(
+        p: &mut MappedParam,
+        what: &str,
+        x: &Tensor,
+        mutate: impl FnOnce(&mut MappedParam),
+    ) {
+        let mode = QuantReadout::with_adc_bits(10);
+        let before = p.forward_quantized(x, &mode).unwrap();
+        assert_eq!(
+            before.data(),
+            uncached_readout(p, x, &mode).data(),
+            "{what}: warm cache"
+        );
+        mutate(p);
+        let after = p.forward_quantized(x, &mode).unwrap();
+        assert_ne!(
+            before.data(),
+            after.data(),
+            "{what}: served state did not move"
+        );
+        let want = uncached_readout(p, x, &mode);
+        assert_eq!(bits(&after), bits(&want), "{what}: stale readout cache");
+    }
+
+    #[test]
+    fn readout_cache_is_reset_by_every_mutator() {
+        use xbar_device::{DriftModel, FaultModel, LineResistanceModel, TileShape};
+        let device =
+            DeviceConfig::quantized_linear(6).with_tile_shape(Some(TileShape::new(16, 16)));
+        let mut rng = XorShiftRng::new(171);
+        let x = Tensor::rand_uniform(&[5, 40], -1.0, 1.0, &mut rng);
+        for mapping in Mapping::ALL {
+            let w = he_init(20, 40, 172);
+            let mut p = MappedParam::from_signed(&w, WeightKind::Mapped(mapping), device).unwrap();
+            assert!(p.tile_grid().unwrap().num_tiles() > 1);
+            let grad = Tensor::rand_normal(&[20, 40], 0.0, 1.0, &mut rng);
+            check_coherent_after(&mut p, "apply_update", &x, |p| {
+                p.accumulate_grad(&grad).unwrap();
+                p.apply_update(0.05);
+            });
+            check_coherent_after(&mut p, "apply_variation", &x, |p| {
+                p.apply_variation(0.1, &mut XorShiftRng::new(173));
+            });
+            check_coherent_after(&mut p, "clear_variation", &x, |p| p.clear_variation());
+            let other = p.quantized_shadow().map(|g| 1.0 - g);
+            check_coherent_after(&mut p, "set_inference_override", &x, |p| {
+                p.set_inference_override(other);
+            });
+            check_coherent_after(&mut p, "apply_faults", &x, |p| {
+                p.apply_faults(
+                    FaultModel::uniform(0.2),
+                    0.0,
+                    false,
+                    &mut XorShiftRng::new(174),
+                )
+                .unwrap();
+            });
+            check_coherent_after(&mut p, "apply_parasitics", &x, |p| {
+                p.apply_parasitics(LineResistanceModel::new(0.01), DriftModel::none())
+                    .unwrap();
+            });
+        }
+    }
+
+    #[test]
+    fn readout_cache_is_reset_by_scrub_ticks_and_restores() {
+        use crate::persist::{collect_state, restore_state};
+        use crate::{Dense, Layer};
+        use xbar_device::TileShape;
+        let mut rng = XorShiftRng::new(175);
+        let x = Tensor::rand_uniform(&[4, 24], -1.0, 1.0, &mut rng);
+        let mode = QuantReadout::with_adc_bits(10);
+        let plain = DeviceConfig::quantized_linear(6).with_tile_shape(Some(TileShape::new(8, 8)));
+        for mapping in Mapping::ALL {
+            let kind = WeightKind::Mapped(mapping);
+            for device in [lifetime_device(0.05, 9), plain] {
+                let mut net = Dense::new(24, 12, kind, device, &mut rng).unwrap();
+                let scrubbed = net.weights().scrub_active();
+                // Move the state on — a scrub tick when the device wears,
+                // then one SGD step, so the served array predates the
+                // shadow — past an older snapshot.
+                let step = |net: &mut Dense| {
+                    if scrubbed {
+                        net.weights_mut()
+                            .scrub_tick(true, &RepairPolicy::default())
+                            .unwrap();
+                    }
+                    let y = net.forward(&x, true).unwrap();
+                    net.zero_grad();
+                    net.backward(&y).unwrap();
+                    net.update(0.05);
+                };
+                step(&mut net);
+                let old = collect_state(&mut net);
+                for tick in 0..2 {
+                    check_coherent_after(net.weights_mut(), &format!("step {tick}"), &x, |p| {
+                        if scrubbed {
+                            p.scrub_tick(true, &RepairPolicy::default()).unwrap();
+                        } else {
+                            p.apply_variation(0.1, &mut XorShiftRng::new(176 + tick));
+                        }
+                    });
+                }
+                step(&mut net);
+                // A collect is read-only: the live forward, the served
+                // array and the cached readout all stay bitwise.
+                let fwd = net.forward(&x, false).unwrap();
+                let q = net.weights().forward_quantized(&x, &mode).unwrap();
+                let served = net.weights().variation_override.clone();
+                let snapshot = collect_state(&mut net);
+                assert_eq!(bits(&fwd), bits(&net.forward(&x, false).unwrap()));
+                assert_eq!(served, net.weights().variation_override);
+                let again = net.weights().forward_quantized(&x, &mode).unwrap();
+                assert_eq!(bits(&q), bits(&again));
+                // Restoring a different snapshot is a write: the readout
+                // follows the restored state.
+                net.weights_mut().clear_variation();
+                let before = net.weights().forward_quantized(&x, &mode).unwrap();
+                restore_state(&mut net, &old).unwrap();
+                let after = net.weights().forward_quantized(&x, &mode).unwrap();
+                assert_ne!(
+                    bits(&before),
+                    bits(&after),
+                    "{mapping}: restore changed nothing"
+                );
+                let want = uncached_readout(net.weights(), &x, &mode);
+                assert_eq!(
+                    bits(&after),
+                    bits(&want),
+                    "{mapping}: stale readout after restore"
+                );
+                restore_state(&mut net, &snapshot).unwrap();
+                let want = uncached_readout(net.weights(), &x, &mode);
+                let back = net.weights().forward_quantized(&x, &mode).unwrap();
+                assert_eq!(
+                    bits(&back),
+                    bits(&want),
+                    "{mapping}: stale readout after restore"
+                );
+            }
+        }
     }
 }

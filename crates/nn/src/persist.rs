@@ -500,6 +500,10 @@ impl StateVisitor for Collector {
             value: value.save_state(),
         });
     }
+
+    fn writes(&self) -> bool {
+        false
+    }
 }
 
 /// Snapshots every persistent state component of `net`, in visit order.
@@ -598,6 +602,10 @@ impl StateVisitor for Validator<'_> {
                 "component '{name}': snapshot has tensor, network expects RNG"
             ));
         }
+    }
+
+    fn writes(&self) -> bool {
+        false
     }
 }
 
